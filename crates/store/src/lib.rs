@@ -87,14 +87,18 @@
 //! assert_eq!(report.ok_count(), 1);
 //! ```
 
+mod apply;
 mod builder;
 mod checkpoint;
 pub mod codec;
 pub mod delta;
 mod error;
 mod group;
+mod publish;
+mod recovery;
 mod session;
 mod table;
+mod validate;
 pub mod vfs;
 mod wal;
 
@@ -106,14 +110,18 @@ pub use group::{CommitTicket, GroupCommitter, GroupOptions, GroupStats};
 pub use session::{CommitAck, EmbeddedSession, Graphiti, GraphitiBuilder, ServiceStats, Session};
 pub use vfs::{std_vfs, FaultKind, FaultVfs, OpClass, StdVfs, Vfs, VfsFile};
 
+use crate::apply::apply_delta;
+use crate::publish::{publish_graph, publish_graph_at, ResolvedOp};
+use crate::recovery::write_checkpoint_locked;
 use crate::table::StoreTable;
+use crate::validate::validate_delta;
 use graphiti_common::{Error, Ident, Result, Value};
 use graphiti_engine::{Engine, Snapshot};
 use graphiti_graph::{EdgeId, GraphInstance, GraphSchema, NodeId};
 use graphiti_obs::metrics::{Counter, Histogram, Registry};
 use graphiti_obs::Obs;
-use graphiti_relational::{ColumnInstance, RelInstance, TableDelta};
-use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use graphiti_relational::{RelInstance, TableDelta};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -636,316 +644,6 @@ impl GraphStore {
             fs,
             None,
         )
-    }
-
-    /// The one durable open/recover path behind both the builder and
-    /// the deprecated ladder.
-    fn durable_open_impl(
-        dir: PathBuf,
-        schema: GraphSchema,
-        bootstrap: GraphInstance,
-        extra: impl IntoIterator<Item = (String, RelInstance)>,
-        options: DurabilityOptions,
-        fs: Arc<dyn vfs::Vfs>,
-        cache_capacity: Option<usize>,
-    ) -> StoreResult<GraphStore> {
-        fs.create_dir_all(&dir).map_err(|e| StoreError::io("store: creating", &dir, e))?;
-        let checkpoints = checkpoint::list_checkpoints(&*fs, &dir)?;
-        let segments = wal::list_segments(&*fs, &dir)?;
-        if checkpoints.is_empty() && segments.is_empty() {
-            let store = GraphStore::open_with_capacity(schema, bootstrap, extra, cache_capacity)
-                .map_err(StoreError::Rejected)?;
-            store.attach_durability(fs, dir, options)?;
-            return Ok(store);
-        }
-        // ---- recovery: newest valid checkpoint, oldest-first fallback.
-        let mut image = None;
-        for (_, p) in checkpoints.iter().rev() {
-            if let Ok(i) = checkpoint::load(&*fs, p) {
-                image = Some(i);
-                break;
-            }
-        }
-        let recovered_from_checkpoint = image.is_some();
-        let store = match image {
-            Some(image) => GraphStore::from_checkpoint(schema, image, extra, cache_capacity)
-                .map_err(|e| StoreError::Internal(e.to_string()))?,
-            None => {
-                // Checkpoint files exist but none can be loaded: WAL
-                // replay alone can never reconstruct the checkpointed
-                // base state (generation 0 may hold a non-empty
-                // bootstrap graph), so "replay onto empty" would reach
-                // the right generation with the wrong contents.  Refuse
-                // with a typed error naming the newest checkpoint.
-                if let Some((_, newest)) = checkpoints.last() {
-                    return Err(StoreError::corrupt(
-                        newest,
-                        "no checkpoint can be loaded; WAL replay alone cannot reconstruct the \
-                         checkpointed base state",
-                    ));
-                }
-                // No checkpoint file at all (a manually pruned
-                // directory): replay the log onto an empty store.  Only
-                // sound when the log reaches back to generation 1 — the
-                // gap and corrupt-head checks below reject anything else
-                // with a typed `Corrupt` instead of silently starting
-                // empty.
-                GraphStore::open_with_capacity(schema, GraphInstance::new(), extra, cache_capacity)
-                    .map_err(StoreError::Rejected)?
-            }
-        };
-        // ---- replay the WAL suffix, truncating any torn tail.
-        let mut replayed = 0u64;
-        let mut tail: Option<(PathBuf, u64)> = None;
-        let mut torn_at: Option<usize> = None;
-        for (i, (_, seg_path)) in segments.iter().enumerate() {
-            let scan = wal::read_segment(&*fs, seg_path)?;
-            if scan.torn && !recovered_from_checkpoint && scan.records.is_empty() && replayed == 0 {
-                // The bootstrap edge case: nothing recovered the base
-                // state and the very head of the log is unreadable —
-                // starting empty here would silently drop data.
-                return Err(StoreError::corrupt(
-                    seg_path,
-                    "WAL head is corrupt and no valid checkpoint exists",
-                ));
-            }
-            if scan.torn {
-                let mut f = fs
-                    .open_rw(seg_path)
-                    .map_err(|e| StoreError::io("wal: reopening torn segment", seg_path, e))?;
-                f.set_len(scan.valid_len)
-                    .map_err(|e| StoreError::io("wal: truncating torn tail", seg_path, e))?;
-            }
-            for rec in scan.records {
-                let current = store.generation();
-                if rec.generation <= current {
-                    continue; // already covered by the checkpoint
-                }
-                if rec.generation != current + 1 {
-                    return Err(StoreError::corrupt(
-                        seg_path,
-                        format!(
-                            "wal gap: expected generation {}, found {}",
-                            current + 1,
-                            rec.generation
-                        ),
-                    ));
-                }
-                let generation = rec.generation;
-                store.commit_tagged(rec.delta, rec.token).map_err(|e| {
-                    StoreError::corrupt(
-                        seg_path,
-                        format!("wal replay of generation {generation} failed: {e}"),
-                    )
-                })?;
-                replayed += 1;
-            }
-            tail = Some((seg_path.clone(), scan.valid_len));
-            if scan.torn {
-                torn_at = Some(i);
-                break;
-            }
-        }
-        // Anything after a tear is unreachable (its generations can
-        // never be replayed past the gap): vacuum it.
-        if let Some(i) = torn_at {
-            for (_, stale) in &segments[i + 1..] {
-                let _ = fs.remove_file(stale);
-            }
-        }
-        // The newest checkpoint's filename generation is a durability
-        // acknowledgment: recovery landing below it means an unloadable
-        // checkpoint whose covered WAL segments were already vacuumed.
-        // Silently serving the older state would lose acknowledged
-        // commits — refuse with a typed error instead.  (Falling back to
-        // an older checkpoint stays legal when surviving segments bridge
-        // the gap, e.g. a crash between checkpoint write and vacuum.)
-        if let Some((newest_gen, newest_path)) = checkpoints.last() {
-            if store.generation() < *newest_gen {
-                return Err(StoreError::corrupt(
-                    newest_path,
-                    format!(
-                        "checkpoint generation {newest_gen} cannot be loaded and the WAL only \
-                         reaches generation {} — refusing to silently lose acknowledged commits",
-                        store.generation()
-                    ),
-                ));
-            }
-        }
-        let writer = match tail {
-            Some((seg_path, valid_len)) => wal::WalWriter::open_append(&*fs, seg_path, valid_len)?,
-            None => wal::WalWriter::create(&*fs, wal::segment_path(&dir, store.generation()))?,
-        };
-        {
-            let mut st = store.state.lock().unwrap_or_else(|p| p.into_inner());
-            let last_checkpoint =
-                checkpoint::list_checkpoints(&*fs, &dir)?.last().map(|(g, _)| *g).unwrap_or(0);
-            let d =
-                DurableState::new(dir, fs, options, writer, last_checkpoint, store.obs.registry());
-            d.replayed.set(replayed);
-            st.durable = Some(d);
-        }
-        Ok(store)
-    }
-
-    /// Rebuilds writer-side state from a checkpoint image: the master
-    /// graph in arena order, stable keys, and the per-label row logs
-    /// (slot-exact, tombstones included).  The recovered graph is
-    /// re-validated by a cold freeze, and the checkpointed logs are
-    /// cross-checked against the freeze-derived tables — recovery is
-    /// *checkable*, not just plausible.
-    fn from_checkpoint(
-        schema: GraphSchema,
-        image: checkpoint::CheckpointImage,
-        extra: impl IntoIterator<Item = (String, RelInstance)>,
-        cache_capacity: Option<usize>,
-    ) -> Result<GraphStore> {
-        let mut graph = GraphInstance::new();
-        for n in &image.nodes {
-            graph.add_node(
-                Ident::new(&n.label),
-                n.props.iter().map(|(k, v)| (Ident::new(k), v.clone())),
-            );
-        }
-        for e in &image.edges {
-            if e.src as usize >= image.nodes.len() || e.tgt as usize >= image.nodes.len() {
-                return Err(Error::instance(format!(
-                    "checkpoint edge `{}` references a missing node",
-                    e.label
-                )));
-            }
-            graph.add_edge(
-                Ident::new(&e.label),
-                NodeId(e.src as usize),
-                NodeId(e.tgt as usize),
-                e.props.iter().map(|(k, v)| (Ident::new(k), v.clone())),
-            );
-        }
-        // Cold freeze: re-validates the whole recovered graph against the
-        // schema and rebuilds the SDT context (the independent oracle the
-        // checkpointed logs are checked against below).
-        let cold = Snapshot::freeze_with(schema.clone(), graph, extra)?;
-        let graph = cold.graph().clone();
-        let node_keys: Vec<NodeKey> = image.nodes.iter().map(|n| NodeKey(n.key)).collect();
-        let edge_keys: Vec<EdgeKey> = image.edges.iter().map(|e| EdgeKey(e.key)).collect();
-        let max_key = node_keys
-            .iter()
-            .map(|k| k.0)
-            .chain(edge_keys.iter().map(|k| k.0))
-            .max()
-            .map(|m| m + 1)
-            .unwrap_or(0);
-        if image.next_key < max_key {
-            return Err(Error::instance(format!(
-                "checkpoint next_key {} is below an assigned key ({max_key})",
-                image.next_key
-            )));
-        }
-        let node_ids: HashMap<NodeKey, NodeId> =
-            node_keys.iter().enumerate().map(|(i, k)| (*k, NodeId(i))).collect();
-        let edge_ids: HashMap<EdgeKey, EdgeId> =
-            edge_keys.iter().enumerate().map(|(i, k)| (*k, EdgeId(i))).collect();
-        if node_ids.len() != node_keys.len() || edge_ids.len() != edge_keys.len() {
-            return Err(Error::instance("checkpoint holds duplicate stable keys"));
-        }
-        let mut tables = BTreeMap::new();
-        let mut induced = RelInstance::new();
-        for t in image.tables {
-            let table = StoreTable::from_log_parts(t.columns, t.slots)?;
-            induced.insert_table(t.name.clone(), table.snapshot_table());
-            tables.insert(t.name, table);
-        }
-        // Checkable recovery: every freeze-derived table must exist in
-        // the checkpoint with the same columns and the same bag of rows.
-        let mut cold_tables = 0usize;
-        for (name, cold_table) in cold.induced().tables() {
-            cold_tables += 1;
-            let live = induced.table(name).ok_or_else(|| {
-                Error::instance(format!("checkpoint is missing induced table `{name}`"))
-            })?;
-            if live.columns != cold_table.columns || !live.rows_bag_equal(cold_table) {
-                return Err(Error::instance(format!(
-                    "checkpoint table `{name}` diverges from the recovered graph"
-                )));
-            }
-        }
-        if tables.len() != cold_tables {
-            return Err(Error::instance("checkpoint holds tables the schema does not induce"));
-        }
-        // Publish the checkpointed (log-ordered) images, not the cold
-        // arena-ordered ones: published row order must survive recovery
-        // so later incremental commits keep patching consistently.
-        let columnar = ColumnInstance::from_rel(&induced);
-        let (extra_maps, extra_columnar) = cold.extra_parts();
-        let published = Snapshot::from_parts_with_columnar(
-            cold.schema_arc(),
-            cold.graph_arc(),
-            cold.ctx_arc(),
-            induced,
-            columnar,
-            extra_maps,
-            extra_columnar,
-        );
-        let published_graph = cold.graph_arc();
-        let obs = Arc::new(Obs::new());
-        let c = StoreCounters::register(obs.registry());
-        // Restore the checkpointed lifetime counters into the registry
-        // cells so recovery is stats-transparent.
-        c.commits.set(image.commits);
-        c.rejected.set(image.rejected);
-        c.compactions.set(image.compactions);
-        let commit_e2e_micros = obs.registry().histogram("graphiti_commit_e2e_micros");
-        let group_commit_size = obs.registry().histogram("graphiti_group_commit_size");
-        Ok(GraphStore {
-            engine: make_engine(Arc::clone(&published), cache_capacity, Arc::clone(&obs)),
-            state: Mutex::new(StoreState {
-                schema,
-                graph,
-                node_keys,
-                edge_keys,
-                node_ids,
-                edge_ids,
-                next_key: image.next_key,
-                tables,
-                published_snapshot: published,
-                published_graph,
-                retiring_graph: None,
-                backlog: VecDeque::new(),
-                generation: image.generation,
-                commits: c.commits,
-                rejected: c.rejected,
-                compactions: c.compactions,
-                graph_clones: c.graph_clones,
-                graph_reclaims: c.graph_reclaims,
-                durable: None,
-                fence: None,
-                fence_events: c.fence_events,
-                fenced_commits: c.fenced_commits,
-                idempotency: IdempotencyTable::from_entries(image.tokens),
-                idempotent_replays: c.idempotent_replays,
-            }),
-            obs,
-            commit_e2e_micros,
-            group_commit_size,
-        })
-    }
-
-    /// Bootstraps durability on a fresh directory: checkpoint the
-    /// current state, then open the first WAL segment.
-    fn attach_durability(
-        &self,
-        fs: Arc<dyn vfs::Vfs>,
-        dir: PathBuf,
-        options: DurabilityOptions,
-    ) -> StoreResult<()> {
-        let mut st = self.state.lock().unwrap_or_else(|p| p.into_inner());
-        let image = build_checkpoint_image(&st);
-        checkpoint::write(&*fs, &dir, &image)?;
-        let wal = wal::WalWriter::create(&*fs, wal::segment_path(&dir, st.generation))?;
-        let d = DurableState::new(dir, fs, options, wal, st.generation, self.obs.registry());
-        d.checkpoints_written.inc();
-        st.durable = Some(d);
-        Ok(())
     }
 
     /// Writes a checkpoint of the current generation now, rotating the
@@ -1816,903 +1514,6 @@ fn wal_append_with_retry(
             }
         }
     }
-}
-
-/// Serializes the writer-side state into a checkpoint image: counters,
-/// the master graph in arena order with its stable keys, and every row
-/// log slot-exactly (tombstones included, so published log order
-/// survives recovery).
-fn build_checkpoint_image(st: &StoreState) -> checkpoint::CheckpointImage {
-    let nodes = st
-        .graph
-        .nodes()
-        .iter()
-        .map(|n| checkpoint::CkptNode {
-            key: st.node_keys[n.id.0].0,
-            label: n.label.as_str().to_owned(),
-            props: n.props.iter().map(|(k, v)| (k.as_str().to_owned(), v.clone())).collect(),
-        })
-        .collect();
-    let edges = st
-        .graph
-        .edges()
-        .iter()
-        .map(|e| checkpoint::CkptEdge {
-            key: st.edge_keys[e.id.0].0,
-            label: e.label.as_str().to_owned(),
-            src: e.src.0 as u64,
-            tgt: e.tgt.0 as u64,
-            props: e.props.iter().map(|(k, v)| (k.as_str().to_owned(), v.clone())).collect(),
-        })
-        .collect();
-    let tables = st
-        .tables
-        .iter()
-        .map(|(name, t)| checkpoint::CkptTable {
-            name: name.clone(),
-            columns: t.columns().to_vec(),
-            slots: t.log_slots().map(|(dead, row)| (dead, row.clone())).collect(),
-        })
-        .collect();
-    checkpoint::CheckpointImage {
-        generation: st.generation,
-        commits: st.commits.get(),
-        rejected: st.rejected.get(),
-        compactions: st.compactions.get(),
-        next_key: st.next_key,
-        nodes,
-        edges,
-        tables,
-        tokens: st.idempotency.entries(),
-    }
-}
-
-/// Checkpoints the current generation, rotates the WAL to a fresh
-/// segment, and vacuums fully covered segments plus checkpoints beyond
-/// the retention count.  Caller must hold the state lock and have
-/// `st.durable` set.
-fn write_checkpoint_locked(st: &mut StoreState) -> StoreResult<()> {
-    let image = build_checkpoint_image(st);
-    let generation = image.generation;
-    let Some(d) = st.durable.as_mut() else {
-        // Callers verify `st.durable` before calling; reaching here is a
-        // logic bug, reported instead of panicking.
-        debug_assert!(false, "write_checkpoint_locked needs a durable store");
-        return Err(StoreError::Internal(
-            "write_checkpoint_locked called without a durability layer".into(),
-        ));
-    };
-    // The checkpoint file is a complete, fsynced image of everything it
-    // covers, so it supersedes the log: no separate WAL sync is needed
-    // before vacuuming covered segments.  (This also keeps the
-    // unretriable-fsync problem out of the checkpoint path, which is
-    // what lets `checkpoint_now` recover a fenced store.)
-    checkpoint::write(&*d.vfs, &d.dir, &image)?;
-    d.wal = wal::WalWriter::create(&*d.vfs, wal::segment_path(&d.dir, generation))?;
-    d.last_checkpoint = generation;
-    d.checkpoints_written.inc();
-    for (base, path) in wal::list_segments(&*d.vfs, &d.dir)? {
-        if base < generation && d.vfs.remove_file(&path).is_ok() {
-            d.segments_removed.inc();
-        }
-    }
-    let ckpts = checkpoint::list_checkpoints(&*d.vfs, &d.dir)?;
-    let keep = d.options.keep_checkpoints.max(1);
-    if ckpts.len() > keep {
-        for (_, path) in &ckpts[..ckpts.len() - keep] {
-            let _ = d.vfs.remove_file(path);
-        }
-    }
-    Ok(())
-}
-
-// ----------------------------------------------------- graph publication
-
-/// One mutation resolved to concrete arena ids, exactly as phase 2
-/// executed it against the master graph.  Replaying a generation's log on
-/// a buffer that holds the previous generation reproduces the master
-/// graph bit-for-bit, because every [`GraphInstance`] mutation (including
-/// swap-remove renumbering) is deterministic.
-#[derive(Debug, Clone)]
-enum ResolvedOp {
-    AddNode { label: Ident, props: Vec<(Ident, Value)> },
-    AddEdge { label: Ident, src: NodeId, tgt: NodeId, props: Vec<(Ident, Value)> },
-    RemoveNode(NodeId),
-    RemoveEdge(EdgeId),
-    SetNodeProp(NodeId, Ident, Value),
-    SetEdgeProp(EdgeId, Ident, Value),
-}
-
-fn replay(g: &mut GraphInstance, ops: &[ResolvedOp]) -> Result<()> {
-    for op in ops {
-        match op {
-            ResolvedOp::AddNode { label, props } => {
-                g.add_node(label.clone(), props.iter().map(|(k, v)| (k.clone(), v.clone())));
-            }
-            ResolvedOp::AddEdge { label, src, tgt, props } => {
-                g.add_edge(
-                    label.clone(),
-                    *src,
-                    *tgt,
-                    props.iter().map(|(k, v)| (k.clone(), v.clone())),
-                );
-            }
-            ResolvedOp::RemoveNode(id) => {
-                g.remove_node(*id)?;
-            }
-            ResolvedOp::RemoveEdge(id) => {
-                g.remove_edge(*id)?;
-            }
-            ResolvedOp::SetNodeProp(id, key, value) => {
-                g.set_node_prop(*id, key.clone(), value.clone())?;
-            }
-            ResolvedOp::SetEdgeProp(id, key, value) => {
-                g.set_edge_prop(*id, key.clone(), value.clone())?;
-            }
-        }
-    }
-    Ok(())
-}
-
-/// Produces the graph handle for the generation being published.
-///
-/// Fast path: the generation-before-last's buffer has been released by
-/// every reader (`Arc::try_unwrap` succeeds), so the commit **replays**
-/// the backlog of resolved operations onto it — O(delta), no full copy.
-/// Slow path (a reader still pins that generation, or the store just
-/// opened): clone the master graph.  Readers are unaffected either way;
-/// this only decides how the new immutable buffer is produced.
-fn publish_graph(st: &mut StoreState, ops: Vec<ResolvedOp>) -> Arc<GraphInstance> {
-    let next_gen = st.generation + 1;
-    publish_graph_at(st, next_gen, ops)
-}
-
-/// [`publish_graph`] with the published generation passed explicitly: a
-/// group commit advances `st.generation` per member *before* its single
-/// end-of-group publication, so "the generation being published" is no
-/// longer `st.generation + 1` there.
-fn publish_graph_at(st: &mut StoreState, gen: u64, ops: Vec<ResolvedOp>) -> Arc<GraphInstance> {
-    st.backlog.push_back((gen, ops));
-    while st.backlog.len() > 2 {
-        st.backlog.pop_front();
-    }
-    let reclaimed = st.retiring_graph.take().and_then(|arc| Arc::try_unwrap(arc).ok());
-    let new_graph = match reclaimed {
-        Some(mut g) => {
-            // The buffer holds generation `next_gen - backlog.len()`;
-            // replay every backlog entry to reach the master state.
-            let ok = st.backlog.iter().all(|(_, ops)| replay(&mut g, ops).is_ok());
-            if ok && g.node_count() == st.graph.node_count() {
-                debug_assert!(g == st.graph, "replayed buffer must equal the master graph");
-                st.graph_reclaims.inc();
-                g
-            } else {
-                // An impossible replay failure: fall back to a clone.
-                st.graph_clones.inc();
-                st.graph.clone()
-            }
-        }
-        None => {
-            st.graph_clones.inc();
-            st.graph.clone()
-        }
-    };
-    let arc = Arc::new(new_graph);
-    st.retiring_graph = Some(std::mem::replace(&mut st.published_graph, Arc::clone(&arc)));
-    arc
-}
-
-// ------------------------------------------------------------ validation
-
-/// An endpoint resolved during validation: an existing node or the `i`-th
-/// node staged by this delta.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Endpoint {
-    Existing(NodeKey),
-    New(usize),
-}
-
-/// An edge resolved during validation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum EdgeSlot {
-    Existing(EdgeKey),
-    New(usize),
-}
-
-#[derive(Debug)]
-struct StagedNode {
-    label: Ident,
-    props: BTreeMap<Ident, Value>,
-    alive: bool,
-}
-
-#[derive(Debug)]
-struct StagedEdge {
-    label: Ident,
-    src: Endpoint,
-    tgt: Endpoint,
-    props: BTreeMap<Ident, Value>,
-    alive: bool,
-}
-
-/// Sequential validation state: the master store plus the staged effects
-/// of the delta's earlier operations.
-struct Check<'a> {
-    st: &'a StoreState,
-    new_nodes: Vec<StagedNode>,
-    new_edges: Vec<StagedEdge>,
-    removed_nodes: HashSet<NodeKey>,
-    removed_edges: HashSet<EdgeKey>,
-    node_overrides: HashMap<(NodeKey, Ident), Value>,
-    edge_overrides: HashMap<(EdgeKey, Ident), Value>,
-    /// Per-label default-key accounting: values freed (removals, re-keys)
-    /// and claimed (additions, re-keys) by earlier operations.
-    freed: HashSet<(Ident, Value)>,
-    claimed: HashSet<(Ident, Value)>,
-}
-
-impl<'a> Check<'a> {
-    fn resolve_node(&self, r: &NodeRef) -> Result<Endpoint> {
-        match r {
-            NodeRef::Key(k) => {
-                if self.removed_nodes.contains(k) || !self.st.node_ids.contains_key(k) {
-                    return Err(Error::instance(format!("unknown or removed node {k}")));
-                }
-                Ok(Endpoint::Existing(*k))
-            }
-            NodeRef::New(i) => match self.new_nodes.get(*i) {
-                Some(n) if n.alive => Ok(Endpoint::New(*i)),
-                _ => Err(Error::instance(format!("unknown or removed staged node #{i}"))),
-            },
-        }
-    }
-
-    fn node_label(&self, ep: Endpoint) -> &Ident {
-        match ep {
-            Endpoint::Existing(k) => &self.st.graph.nodes()[self.st.node_ids[&k].0].label,
-            Endpoint::New(i) => &self.new_nodes[i].label,
-        }
-    }
-
-    fn node_prop(&self, ep: Endpoint, key: &Ident) -> Value {
-        match ep {
-            Endpoint::Existing(k) => {
-                if let Some(v) = self.node_overrides.get(&(k, key.clone())) {
-                    return v.clone();
-                }
-                self.st.graph.nodes()[self.st.node_ids[&k].0].prop(key.as_str())
-            }
-            Endpoint::New(i) => self.new_nodes[i].props.get(key).cloned().unwrap_or(Value::Null),
-        }
-    }
-
-    /// Resolves an edge reference to its staged index or checks liveness of
-    /// an existing edge.
-    fn resolve_edge(&self, r: &EdgeRef) -> Result<EdgeSlot> {
-        match r {
-            EdgeRef::Key(k) => {
-                if self.removed_edges.contains(k) || !self.st.edge_ids.contains_key(k) {
-                    return Err(Error::instance(format!("unknown or removed edge {k}")));
-                }
-                Ok(EdgeSlot::Existing(*k))
-            }
-            EdgeRef::New(i) => match self.new_edges.get(*i) {
-                Some(e) if e.alive => Ok(EdgeSlot::New(*i)),
-                _ => Err(Error::instance(format!("unknown or removed staged edge #{i}"))),
-            },
-        }
-    }
-
-    fn edge_label(&self, slot: EdgeSlot) -> &Ident {
-        match slot {
-            EdgeSlot::Existing(k) => &self.st.graph.edges()[self.st.edge_ids[&k].0].label,
-            EdgeSlot::New(i) => &self.new_edges[i].label,
-        }
-    }
-
-    fn edge_prop(&self, slot: EdgeSlot, key: &Ident) -> Value {
-        match slot {
-            EdgeSlot::Existing(k) => {
-                if let Some(v) = self.edge_overrides.get(&(k, key.clone())) {
-                    return v.clone();
-                }
-                self.st.graph.edges()[self.st.edge_ids[&k].0].prop(key.as_str())
-            }
-            EdgeSlot::New(i) => self.new_edges[i].props.get(key).cloned().unwrap_or(Value::Null),
-        }
-    }
-
-    /// Claims a default-key value for a label, enforcing uniqueness
-    /// against the master index and the delta's earlier operations.
-    ///
-    /// A value is held iff (the master index holds it AND no earlier
-    /// operation freed the master's copy) OR an earlier operation staged a
-    /// claim on it.  `freed` deliberately keeps recording "the master's
-    /// copy is gone" even while a staged claim cycles the value — a
-    /// remove/add/remove/add chain on one key must stay valid.
-    fn claim(&mut self, label: &Ident, value: &Value) -> Result<()> {
-        let kv = (label.clone(), value.clone());
-        let held_by_master =
-            self.st.tables.get(label.as_str()).is_some_and(|t| t.contains_pk(value))
-                && !self.freed.contains(&kv);
-        if held_by_master || self.claimed.contains(&kv) {
-            return Err(Error::instance(format!(
-                "duplicate default-key value {value} for label `{label}`"
-            )));
-        }
-        self.claimed.insert(kv);
-        Ok(())
-    }
-
-    /// Releases a default-key value (element removed or re-keyed): a
-    /// staged claim is cancelled, a master-held value is marked freed.
-    fn free(&mut self, label: &Ident, value: &Value) {
-        let kv = (label.clone(), value.clone());
-        if !self.claimed.remove(&kv) {
-            self.freed.insert(kv);
-        }
-    }
-}
-
-/// Extracts and checks the default-key value from an addition's property
-/// list: present, non-null, and every key declared.
-fn check_props(
-    kind: &str,
-    label: &Ident,
-    declared: &[Ident],
-    props: &[(Ident, Value)],
-) -> Result<Value> {
-    for (k, _) in props {
-        if !declared.contains(k) {
-            return Err(Error::instance(format!("{kind} `{label}` has undeclared property `{k}`")));
-        }
-    }
-    let dk = &declared[0];
-    let pk =
-        props.iter().rev().find(|(k, _)| k == dk).map(|(_, v)| v.clone()).unwrap_or(Value::Null);
-    if pk.is_null() {
-        return Err(Error::instance(format!("{kind} `{label}` is missing its default key `{dk}`")));
-    }
-    Ok(pk)
-}
-
-/// Phase 1: sequential incremental validation.  Pure — the store state is
-/// untouched regardless of outcome.
-fn validate_delta(st: &StoreState, delta: &Delta) -> Result<()> {
-    let mut c = Check {
-        st,
-        new_nodes: Vec::new(),
-        new_edges: Vec::new(),
-        removed_nodes: HashSet::new(),
-        removed_edges: HashSet::new(),
-        node_overrides: HashMap::new(),
-        edge_overrides: HashMap::new(),
-        freed: HashSet::new(),
-        claimed: HashSet::new(),
-    };
-    for op in delta.ops() {
-        match op {
-            Mutation::AddNode { label, props } => {
-                let ty = st
-                    .schema
-                    .node_type(label.as_str())
-                    .ok_or_else(|| Error::instance(format!("unknown node label `{label}`")))?;
-                let pk = check_props("node", label, &ty.keys, props)?;
-                c.claim(label, &pk)?;
-                c.new_nodes.push(StagedNode {
-                    label: label.clone(),
-                    props: props.iter().cloned().collect(),
-                    alive: true,
-                });
-            }
-            Mutation::AddEdge { label, src, tgt, props } => {
-                let ty = st
-                    .schema
-                    .edge_type(label.as_str())
-                    .ok_or_else(|| Error::instance(format!("unknown edge label `{label}`")))?;
-                let src = c.resolve_node(src)?;
-                let tgt = c.resolve_node(tgt)?;
-                if *c.node_label(src) != ty.src || *c.node_label(tgt) != ty.tgt {
-                    return Err(Error::instance(format!(
-                        "edge `{label}` connects `{}`->`{}` but schema declares `{}`->`{}`",
-                        c.node_label(src),
-                        c.node_label(tgt),
-                        ty.src,
-                        ty.tgt
-                    )));
-                }
-                let pk = check_props("edge", label, &ty.keys, props)?;
-                c.claim(label, &pk)?;
-                c.new_edges.push(StagedEdge {
-                    label: label.clone(),
-                    src,
-                    tgt,
-                    props: props.iter().cloned().collect(),
-                    alive: true,
-                });
-            }
-            Mutation::RemoveEdge { edge } => {
-                let slot = c.resolve_edge(edge)?;
-                let label = c.edge_label(slot).clone();
-                // Every resolvable edge was validated at add time, which
-                // requires a declared label — so this lookup can only
-                // fail on a broken invariant, reported, not panicked.
-                let dk = st
-                    .schema
-                    .default_key_of(label.as_str())
-                    .ok_or_else(|| Error::instance(format!("label `{label}` is undeclared")))?;
-                let pk = c.edge_prop(slot, dk);
-                c.free(&label, &pk);
-                match slot {
-                    EdgeSlot::Existing(k) => {
-                        c.removed_edges.insert(k);
-                    }
-                    EdgeSlot::New(i) => c.new_edges[i].alive = false,
-                }
-            }
-            Mutation::RemoveNode { node } => {
-                let ep = c.resolve_node(node)?;
-                // No incident edge may survive to this point of the delta.
-                match ep {
-                    Endpoint::Existing(k) => {
-                        let id = st.node_ids[&k];
-                        let incident = st
-                            .graph
-                            .out_edges(id)
-                            .chain(st.graph.in_edges(id))
-                            .any(|e| !c.removed_edges.contains(&st.edge_keys[e.id.0]));
-                        if incident {
-                            return Err(Error::instance(format!(
-                                "node {k} still has incident edges"
-                            )));
-                        }
-                    }
-                    Endpoint::New(_) => {}
-                }
-                if c.new_edges.iter().any(|e| e.alive && (e.src == ep || e.tgt == ep)) {
-                    return Err(Error::instance(
-                        "node still has incident edges staged by this delta",
-                    ));
-                }
-                let label = c.node_label(ep).clone();
-                // Resolvable nodes were validated at add time, so the label
-                // is declared — reported as a rejection if that ever breaks.
-                let dk = st
-                    .schema
-                    .default_key_of(label.as_str())
-                    .ok_or_else(|| Error::instance(format!("label `{label}` is undeclared")))?;
-                let pk = c.node_prop(ep, dk);
-                c.free(&label, &pk);
-                match ep {
-                    Endpoint::Existing(k) => {
-                        c.removed_nodes.insert(k);
-                    }
-                    Endpoint::New(i) => c.new_nodes[i].alive = false,
-                }
-            }
-            Mutation::SetNodeProp { node, key, value } => {
-                let ep = c.resolve_node(node)?;
-                let label = c.node_label(ep).clone();
-                let ty = st
-                    .schema
-                    .node_type(label.as_str())
-                    .ok_or_else(|| Error::instance(format!("label `{label}` is undeclared")))?;
-                if !ty.keys.contains(key) {
-                    return Err(Error::instance(format!(
-                        "node `{label}` has no declared property `{key}`"
-                    )));
-                }
-                if *key == *ty.default_key() {
-                    if value.is_null() {
-                        return Err(Error::instance(format!(
-                            "default key `{key}` of `{label}` cannot be NULL"
-                        )));
-                    }
-                    let old = c.node_prop(ep, key);
-                    if old != *value {
-                        c.free(&label, &old);
-                        c.claim(&label, value)?;
-                    }
-                }
-                match ep {
-                    Endpoint::Existing(k) => {
-                        c.node_overrides.insert((k, key.clone()), value.clone());
-                    }
-                    Endpoint::New(i) => {
-                        c.new_nodes[i].props.insert(key.clone(), value.clone());
-                    }
-                }
-            }
-            Mutation::SetEdgeProp { edge, key, value } => {
-                let slot = c.resolve_edge(edge)?;
-                let label = c.edge_label(slot).clone();
-                let ty = st
-                    .schema
-                    .edge_type(label.as_str())
-                    .ok_or_else(|| Error::instance(format!("label `{label}` is undeclared")))?;
-                if !ty.keys.contains(key) {
-                    return Err(Error::instance(format!(
-                        "edge `{label}` has no declared property `{key}`"
-                    )));
-                }
-                if *key == *ty.default_key() {
-                    if value.is_null() {
-                        return Err(Error::instance(format!(
-                            "default key `{key}` of `{label}` cannot be NULL"
-                        )));
-                    }
-                    let old = c.edge_prop(slot, key);
-                    if old != *value {
-                        c.free(&label, &old);
-                        c.claim(&label, value)?;
-                    }
-                }
-                match slot {
-                    EdgeSlot::Existing(k) => {
-                        c.edge_overrides.insert((k, key.clone()), value.clone());
-                    }
-                    EdgeSlot::New(i) => {
-                        c.new_edges[i].props.insert(key.clone(), value.clone());
-                    }
-                }
-            }
-        }
-    }
-    Ok(())
-}
-
-// -------------------------------------------------------------- applying
-
-/// Everything phase 2 hands to the publication phase.
-struct Applied {
-    deltas: BTreeMap<String, TableDelta>,
-    node_keys: Vec<NodeKey>,
-    edge_keys: Vec<EdgeKey>,
-    /// The id-level operation log, for replay-based graph publication.
-    replay: Vec<ResolvedOp>,
-}
-
-/// Commit-local change set of one table log.
-struct Pending {
-    len_before: usize,
-    removed_slots: Vec<usize>,
-    patches: Vec<(usize, usize, Value)>,
-    appended_slots: Vec<usize>,
-}
-
-fn touch<'p>(
-    pending: &'p mut BTreeMap<String, Pending>,
-    tables: &BTreeMap<String, StoreTable>,
-    name: &str,
-) -> &'p mut Pending {
-    if !pending.contains_key(name) {
-        let len_before = tables.get(name).map(StoreTable::log_len).unwrap_or(0);
-        pending.insert(
-            name.to_string(),
-            Pending {
-                len_before,
-                removed_slots: Vec::new(),
-                patches: Vec::new(),
-                appended_slots: Vec::new(),
-            },
-        );
-    }
-    // Infallible: the entry was inserted two lines above under this borrow.
-    pending.get_mut(name).expect("just inserted")
-}
-
-/// Phase 2: applies a validated delta to the master graph and table logs,
-/// recording per-table change sets in pre-commit published coordinates.
-fn apply_delta(st: &mut StoreState, delta: &Delta) -> Result<Applied> {
-    let mut pending: BTreeMap<String, Pending> = BTreeMap::new();
-    let mut new_node_keys: Vec<NodeKey> = Vec::with_capacity(delta.nodes_added);
-    let mut new_edge_keys: Vec<EdgeKey> = Vec::with_capacity(delta.edges_added);
-    let mut replay: Vec<ResolvedOp> = Vec::with_capacity(delta.len());
-    for op in delta.ops() {
-        match op {
-            Mutation::AddNode { label, props } => {
-                let key = NodeKey(st.next_key);
-                st.next_key += 1;
-                let id = st
-                    .graph
-                    .add_node(label.clone(), props.iter().map(|(k, v)| (k.clone(), v.clone())));
-                st.node_keys.push(key);
-                st.node_ids.insert(key, id);
-                new_node_keys.push(key);
-                let ty = st
-                    .schema
-                    .node_type(label.as_str())
-                    .ok_or_else(|| Error::instance(format!("label `{label}` is undeclared")))?;
-                let row: Vec<Value> =
-                    ty.keys.iter().map(|k| st.graph.node(id).prop(k.as_str())).collect();
-                append_row(st, &mut pending, label.as_str(), row)?;
-                replay.push(ResolvedOp::AddNode { label: label.clone(), props: props.clone() });
-            }
-            Mutation::AddEdge { label, src, tgt, props } => {
-                let key = EdgeKey(st.next_key);
-                st.next_key += 1;
-                let src_id = resolve_applied_node(st, &new_node_keys, src)?;
-                let tgt_id = resolve_applied_node(st, &new_node_keys, tgt)?;
-                let id = st.graph.add_edge(
-                    label.clone(),
-                    src_id,
-                    tgt_id,
-                    props.iter().map(|(k, v)| (k.clone(), v.clone())),
-                );
-                st.edge_keys.push(key);
-                st.edge_ids.insert(key, id);
-                new_edge_keys.push(key);
-                let ty = st
-                    .schema
-                    .edge_type(label.as_str())
-                    .ok_or_else(|| Error::instance(format!("label `{label}` is undeclared")))?;
-                // A declared edge type names declared endpoint labels, so
-                // both lookups are reported, not panicked, if that breaks.
-                let src_dk = st
-                    .schema
-                    .default_key_of(ty.src.as_str())
-                    .ok_or_else(|| Error::instance(format!("label `{}` is undeclared", ty.src)))?;
-                let tgt_dk = st
-                    .schema
-                    .default_key_of(ty.tgt.as_str())
-                    .ok_or_else(|| Error::instance(format!("label `{}` is undeclared", ty.tgt)))?;
-                let mut row: Vec<Value> =
-                    ty.keys.iter().map(|k| st.graph.edge(id).prop(k.as_str())).collect();
-                row.push(st.graph.node(src_id).prop(src_dk.as_str()));
-                row.push(st.graph.node(tgt_id).prop(tgt_dk.as_str()));
-                append_row(st, &mut pending, label.as_str(), row)?;
-                replay.push(ResolvedOp::AddEdge {
-                    label: label.clone(),
-                    src: src_id,
-                    tgt: tgt_id,
-                    props: props.clone(),
-                });
-            }
-            Mutation::RemoveEdge { edge } => {
-                let key = match edge {
-                    EdgeRef::Key(k) => *k,
-                    EdgeRef::New(i) => new_edge_keys[*i],
-                };
-                let id = *st
-                    .edge_ids
-                    .get(&key)
-                    .ok_or_else(|| Error::instance(format!("lost edge {key}")))?;
-                let label = st.graph.try_edge(id)?.label.clone();
-                let dk = st
-                    .schema
-                    .default_key_of(label.as_str())
-                    .ok_or_else(|| Error::instance(format!("label `{label}` is undeclared")))?;
-                let pk = st.graph.try_edge(id)?.prop(dk.as_str());
-                st.graph.remove_edge(id)?;
-                // Mirror the arena's swap-remove in the key maps.
-                let removed_key = st.edge_keys.swap_remove(id.0);
-                debug_assert_eq!(removed_key, key);
-                st.edge_ids.remove(&key);
-                if id.0 < st.edge_keys.len() {
-                    st.edge_ids.insert(st.edge_keys[id.0], id);
-                }
-                tombstone_row(st, &mut pending, label.as_str(), &pk)?;
-                replay.push(ResolvedOp::RemoveEdge(id));
-            }
-            Mutation::RemoveNode { node } => {
-                let key = match node {
-                    NodeRef::Key(k) => *k,
-                    NodeRef::New(i) => new_node_keys[*i],
-                };
-                let id = *st
-                    .node_ids
-                    .get(&key)
-                    .ok_or_else(|| Error::instance(format!("lost node {key}")))?;
-                let label = st.graph.try_node(id)?.label.clone();
-                let dk = st
-                    .schema
-                    .default_key_of(label.as_str())
-                    .ok_or_else(|| Error::instance(format!("label `{label}` is undeclared")))?;
-                let pk = st.graph.try_node(id)?.prop(dk.as_str());
-                st.graph.remove_node(id)?;
-                let removed_key = st.node_keys.swap_remove(id.0);
-                debug_assert_eq!(removed_key, key);
-                st.node_ids.remove(&key);
-                if id.0 < st.node_keys.len() {
-                    st.node_ids.insert(st.node_keys[id.0], id);
-                }
-                tombstone_row(st, &mut pending, label.as_str(), &pk)?;
-                replay.push(ResolvedOp::RemoveNode(id));
-            }
-            Mutation::SetNodeProp { node, key, value } => {
-                let nkey = match node {
-                    NodeRef::Key(k) => *k,
-                    NodeRef::New(i) => new_node_keys[*i],
-                };
-                let id = *st
-                    .node_ids
-                    .get(&nkey)
-                    .ok_or_else(|| Error::instance(format!("lost node {nkey}")))?;
-                let label = st.graph.try_node(id)?.label.clone();
-                let ty = st
-                    .schema
-                    .node_type(label.as_str())
-                    .ok_or_else(|| Error::instance(format!("label `{label}` is undeclared")))?;
-                let col = ty
-                    .keys
-                    .iter()
-                    .position(|k| k == key)
-                    .ok_or_else(|| Error::instance(format!("undeclared key `{key}`")))?;
-                let pk_before = st.graph.try_node(id)?.prop(ty.default_key().as_str());
-                st.graph.set_node_prop(id, key.clone(), value.clone())?;
-                replay.push(ResolvedOp::SetNodeProp(id, key.clone(), value.clone()));
-                patch_row(st, &mut pending, label.as_str(), &pk_before, col, value.clone())?;
-                if col == 0 && pk_before != *value {
-                    // The node's default key is the join value every
-                    // incident edge row carries in SRC/TGT: patch them too.
-                    let touched: Vec<(Ident, EdgeId, bool)> = st
-                        .graph
-                        .out_edges(id)
-                        .map(|e| (e.label.clone(), e.id, true))
-                        .chain(st.graph.in_edges(id).map(|e| (e.label.clone(), e.id, false)))
-                        .collect();
-                    let mut incident: Vec<(Ident, Value, bool)> = Vec::with_capacity(touched.len());
-                    for (elabel, eid, is_src) in touched {
-                        let edk = st.schema.default_key_of(elabel.as_str()).ok_or_else(|| {
-                            Error::instance(format!("label `{elabel}` is undeclared"))
-                        })?;
-                        incident.push((
-                            elabel.clone(),
-                            st.graph.try_edge(eid)?.prop(edk.as_str()),
-                            is_src,
-                        ));
-                    }
-                    for (elabel, epk, is_src) in incident {
-                        let ety = st.schema.edge_type(elabel.as_str()).ok_or_else(|| {
-                            Error::instance(format!("label `{elabel}` is undeclared"))
-                        })?;
-                        let ecol = if is_src { ety.keys.len() } else { ety.keys.len() + 1 };
-                        patch_row(st, &mut pending, elabel.as_str(), &epk, ecol, value.clone())?;
-                    }
-                }
-            }
-            Mutation::SetEdgeProp { edge, key, value } => {
-                let ekey = match edge {
-                    EdgeRef::Key(k) => *k,
-                    EdgeRef::New(i) => new_edge_keys[*i],
-                };
-                let id = *st
-                    .edge_ids
-                    .get(&ekey)
-                    .ok_or_else(|| Error::instance(format!("lost edge {ekey}")))?;
-                let label = st.graph.try_edge(id)?.label.clone();
-                let ty = st
-                    .schema
-                    .edge_type(label.as_str())
-                    .ok_or_else(|| Error::instance(format!("label `{label}` is undeclared")))?;
-                let col = ty
-                    .keys
-                    .iter()
-                    .position(|k| k == key)
-                    .ok_or_else(|| Error::instance(format!("undeclared key `{key}`")))?;
-                let pk_before = st.graph.try_edge(id)?.prop(ty.default_key().as_str());
-                st.graph.set_edge_prop(id, key.clone(), value.clone())?;
-                replay.push(ResolvedOp::SetEdgeProp(id, key.clone(), value.clone()));
-                patch_row(st, &mut pending, label.as_str(), &pk_before, col, value.clone())?;
-            }
-        }
-    }
-    // Translate commit-local slot coordinates into pre-commit published
-    // positions and extract one TableDelta per touched table.
-    let mut deltas: BTreeMap<String, TableDelta> = BTreeMap::new();
-    for (name, p) in pending {
-        let Some(table) = st.tables.get(&name) else {
-            return Err(Error::instance(format!("no induced table `{name}`")));
-        };
-        let mut out = TableDelta::new();
-        if !(p.removed_slots.is_empty() && p.patches.is_empty()) {
-            let removed_set: HashSet<usize> = p.removed_slots.iter().copied().collect();
-            let mut pos = vec![u32::MAX; p.len_before];
-            let mut next = 0u32;
-            for (slot, entry) in pos.iter_mut().enumerate() {
-                if !table.is_dead(slot) || removed_set.contains(&slot) {
-                    *entry = next;
-                    next += 1;
-                }
-            }
-            out.removed = p.removed_slots.iter().map(|s| pos[*s]).collect();
-            out.removed.sort_unstable();
-            out.removed.dedup();
-            out.patches =
-                p.patches.iter().map(|(s, c, v)| (pos[*s] as usize, *c, v.clone())).collect();
-        }
-        out.appended = p
-            .appended_slots
-            .iter()
-            .filter(|s| !table.is_dead(**s))
-            .map(|s| table.row(*s).clone())
-            .collect();
-        if !out.is_empty() {
-            deltas.insert(name, out);
-        }
-    }
-    Ok(Applied { deltas, node_keys: new_node_keys, edge_keys: new_edge_keys, replay })
-}
-
-fn resolve_applied_node(st: &StoreState, new_node_keys: &[NodeKey], r: &NodeRef) -> Result<NodeId> {
-    let key = match r {
-        NodeRef::Key(k) => *k,
-        NodeRef::New(i) => *new_node_keys
-            .get(*i)
-            .ok_or_else(|| Error::instance(format!("unknown staged node #{i}")))?,
-    };
-    st.node_ids
-        .get(&key)
-        .copied()
-        .ok_or_else(|| Error::instance(format!("unknown or removed node {key}")))
-}
-
-/// Appends a row to a table log and records the append.  The pending
-/// entry is created (capturing `len_before`) **before** the log grows, so
-/// pre-commit coordinates stay correct.
-fn append_row(
-    st: &mut StoreState,
-    pending: &mut BTreeMap<String, Pending>,
-    name: &str,
-    row: Vec<Value>,
-) -> Result<()> {
-    touch(pending, &st.tables, name);
-    let slot = st
-        .tables
-        .get_mut(name)
-        .ok_or_else(|| Error::instance(format!("no induced table `{name}`")))?
-        .append(row);
-    // Infallible: `touch` above inserted the entry under this same borrow.
-    pending.get_mut(name).expect("touched above").appended_slots.push(slot);
-    Ok(())
-}
-
-/// Tombstones the row carrying `pk` and records the removal (or cancels
-/// the append when the row was added by this very commit).
-fn tombstone_row(
-    st: &mut StoreState,
-    pending: &mut BTreeMap<String, Pending>,
-    name: &str,
-    pk: &Value,
-) -> Result<()> {
-    let slot = st
-        .tables
-        .get_mut(name)
-        .and_then(|t| t.tombstone(pk))
-        .ok_or_else(|| Error::instance(format!("no row with key {pk} in `{name}`")))?;
-    let p = touch(pending, &st.tables, name);
-    if slot >= p.len_before {
-        p.appended_slots.retain(|s| *s != slot);
-    } else {
-        p.removed_slots.push(slot);
-    }
-    Ok(())
-}
-
-/// Patches one cell of the row carrying `pk_before` and records the patch
-/// when the row predates this commit (appended rows are read back from
-/// the log at extraction time, so their patches need no record).
-fn patch_row(
-    st: &mut StoreState,
-    pending: &mut BTreeMap<String, Pending>,
-    name: &str,
-    pk_before: &Value,
-    col: usize,
-    value: Value,
-) -> Result<()> {
-    let table = st
-        .tables
-        .get_mut(name)
-        .ok_or_else(|| Error::instance(format!("no induced table `{name}`")))?;
-    let slot = table
-        .slot_of(pk_before)
-        .ok_or_else(|| Error::instance(format!("no row with key {pk_before} in `{name}`")))?;
-    table.patch(slot, col, value.clone());
-    let p = touch(pending, &st.tables, name);
-    if slot < p.len_before {
-        p.patches.push((slot, col, value));
-    }
-    Ok(())
 }
 
 #[cfg(test)]
