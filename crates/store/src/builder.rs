@@ -1,10 +1,8 @@
 //! One builder for every way of opening a [`GraphStore`].
 //!
-//! The store's constructors grew as a ladder — `open`, `open_with`,
-//! `open_durable`, `open_durable_with`, `open_durable_with_vfs` — each
-//! adding one positional parameter.  [`StoreBuilder`] replaces the
-//! ladder with named, defaulted knobs (the old entry points survive as
-//! thin deprecated shims).
+//! [`StoreBuilder`] gathers every way of opening a store behind named,
+//! defaulted knobs; `open` and `open_with` remain as shorthands for the
+//! in-memory cases.
 
 use crate::vfs::{self, Vfs};
 use crate::{DurabilityOptions, GraphStore, StoreError, StoreResult};
@@ -87,8 +85,23 @@ impl StoreBuilder {
         self
     }
 
-    /// Makes the store durable, rooted at `path` (WAL + checkpoints;
-    /// recovers the directory if it already holds state).
+    /// Makes the store durable, rooted at the directory `path`:
+    /// committed deltas are written ahead to a checksummed log and
+    /// survive process crashes.
+    ///
+    /// **Fresh directory** (no checkpoint, no WAL): opens over the
+    /// bootstrap graph exactly like [`GraphStore::open_with`], then
+    /// writes a generation-0 checkpoint and an empty WAL segment so the
+    /// initial state is durable before the first commit.
+    ///
+    /// **Existing directory**: the bootstrap graph is ignored; the store
+    /// is **recovered** instead — the newest checkpoint that passes its
+    /// checksum is loaded (older ones are fallbacks), the recovered
+    /// graph is re-validated by a cold freeze and cross-checked against
+    /// the checkpointed row logs, and the WAL suffix is replayed through
+    /// the ordinary commit path.  A torn tail record (crash mid-append)
+    /// is truncated, recovering to the last fully durable commit, never
+    /// a partial generation.
     pub fn durable(mut self, path: impl Into<PathBuf>) -> StoreBuilder {
         self.path = Some(path.into());
         self
@@ -167,7 +180,7 @@ impl StoreBuilder {
 
 impl GraphStore {
     /// Starts a [`StoreBuilder`] over `schema` — the one entry point
-    /// subsuming the whole `open`/`open_durable*` ladder.
+    /// for every way of opening a store.
     pub fn builder(schema: GraphSchema) -> StoreBuilder {
         StoreBuilder::new(schema)
     }
@@ -242,15 +255,6 @@ mod tests {
         let reopened =
             GraphStore::builder(schema()).durable(&dir).plan_cache_capacity(9).open().unwrap();
         assert_eq!(reopened.engine().cache_stats().capacity, 9);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn deprecated_shims_still_work() {
-        #![allow(deprecated)]
-        let dir = scratch("shim");
-        let store = GraphStore::open_durable(&dir, schema()).unwrap();
-        assert_eq!(store.generation(), 0);
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -33,7 +33,7 @@
 //!
 //! # Durability
 //!
-//! [`GraphStore::open_durable`] adds a crash-safe persistence layer:
+//! [`StoreBuilder::durable`] adds a crash-safe persistence layer:
 //! every committed delta is appended to a checksummed write-ahead log and
 //! flushed (optionally fsynced) **before** the generation is published;
 //! periodic checkpoints snapshot the per-label row logs so replay cost
@@ -111,10 +111,10 @@ pub use session::{CommitAck, EmbeddedSession, Graphiti, GraphitiBuilder, Service
 pub use vfs::{std_vfs, FaultKind, FaultVfs, OpClass, StdVfs, Vfs, VfsFile};
 
 use crate::apply::apply_delta;
-use crate::publish::{publish_graph, publish_graph_at, ResolvedOp};
+use crate::publish::{publish_graph, ResolvedOp};
 use crate::recovery::write_checkpoint_locked;
 use crate::table::StoreTable;
-use crate::validate::validate_delta;
+use crate::validate::Staging;
 use graphiti_common::{Error, Ident, Result, Value};
 use graphiti_engine::{Engine, Snapshot};
 use graphiti_graph::{EdgeId, GraphInstance, GraphSchema, NodeId};
@@ -122,6 +122,7 @@ use graphiti_obs::metrics::{Counter, Histogram, Registry};
 use graphiti_obs::Obs;
 use graphiti_relational::{RelInstance, TableDelta};
 use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -149,7 +150,7 @@ pub struct CommitInfo {
     pub touched_tables: Vec<String>,
 }
 
-/// Tuning knobs of a durable store (see [`GraphStore::open_durable_with`]).
+/// Tuning knobs of a durable store (see [`StoreBuilder::durability`]).
 #[derive(Debug, Clone, Copy)]
 pub struct DurabilityOptions {
     /// Fsync the WAL on **every** commit (the strict redo rule: a
@@ -189,7 +190,7 @@ impl Default for DurabilityOptions {
 
 /// The durability attachment of a store: the open WAL segment plus
 /// checkpoint bookkeeping.  Present only for stores opened through
-/// [`GraphStore::open_durable`] / [`GraphStore::open_durable_with`].
+/// [`StoreBuilder::durable`].
 #[derive(Debug)]
 struct DurableState {
     dir: PathBuf,
@@ -215,7 +216,7 @@ struct DurableState {
     wal_append_failures: Counter,
     /// Per-record WAL append latency (write + flush, excluding fsync).
     wal_append_micros: Arc<Histogram>,
-    /// WAL fsync latency (solo commits and the group's shared fsync).
+    /// WAL fsync latency (one shared fsync per commit group).
     wal_fsync_micros: Arc<Histogram>,
 }
 
@@ -394,9 +395,9 @@ struct StoreState {
     /// The previous generation's graph handle, kept so the next commit
     /// can reclaim its buffer once every reader has released it.
     retiring_graph: Option<Arc<GraphInstance>>,
-    /// Resolved (id-level) operation logs of the most recent generations,
+    /// Resolved (id-level) operation logs of the most recent publications,
     /// enough to replay a reclaimed buffer forward to the master state.
-    backlog: VecDeque<(u64, Vec<ResolvedOp>)>,
+    backlog: VecDeque<Vec<ResolvedOp>>,
     generation: u64,
     /// Counters are registry-backed [`Counter`] handles: the store
     /// increments them exactly where the plain `u64`s used to live, and
@@ -459,9 +460,10 @@ pub struct GraphStore {
     /// layer stacked on top.
     obs: Arc<Obs>,
     /// Commit end-to-end latency (lock acquisition through publication),
-    /// solo and per group member alike.
+    /// recorded once per applied group member.
     commit_e2e_micros: Arc<Histogram>,
-    /// Accepted members per `commit_group_tagged` call.
+    /// Applied members per publishing commit group (a solo commit is a
+    /// group of one).
     group_commit_size: Arc<Histogram>,
 }
 
@@ -562,88 +564,6 @@ impl GraphStore {
             commit_e2e_micros,
             group_commit_size,
         })
-    }
-
-    /// Opens (or recovers) a **durable** store rooted at `path` with an
-    /// initially empty graph: committed deltas are written ahead to a
-    /// checksummed log and survive process crashes.  See
-    /// [`GraphStore::open_durable_with`] for the recovery contract.
-    #[deprecated(since = "0.1.0", note = "use `GraphStore::builder(schema).durable(path).open()`")]
-    pub fn open_durable(path: impl AsRef<Path>, schema: GraphSchema) -> StoreResult<GraphStore> {
-        GraphStore::durable_open_impl(
-            path.as_ref().to_path_buf(),
-            schema,
-            GraphInstance::new(),
-            [],
-            DurabilityOptions::default(),
-            vfs::std_vfs(),
-            None,
-        )
-    }
-
-    /// Opens (or recovers) a durable store rooted at the directory
-    /// `path`.
-    ///
-    /// **Fresh directory** (no checkpoint, no WAL): opens over
-    /// `bootstrap` exactly like [`GraphStore::open_with`], then writes a
-    /// generation-0 checkpoint and an empty WAL segment so the initial
-    /// state is durable before the first commit.
-    ///
-    /// **Existing directory**: `bootstrap` is ignored; the store is
-    /// **recovered** instead — the newest checkpoint that passes its
-    /// checksum is loaded (older ones are fallbacks), the recovered
-    /// graph is re-validated by a cold freeze and cross-checked against
-    /// the checkpointed row logs, and the WAL suffix is replayed through
-    /// the ordinary commit path.  A torn tail record (crash mid-append)
-    /// is truncated, recovering to the last fully durable commit, never
-    /// a partial generation.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `GraphStore::builder(schema).durable(path).bootstrap(..).durability(..).open()`"
-    )]
-    pub fn open_durable_with(
-        path: impl AsRef<Path>,
-        schema: GraphSchema,
-        bootstrap: GraphInstance,
-        extra: impl IntoIterator<Item = (String, RelInstance)>,
-        options: DurabilityOptions,
-    ) -> StoreResult<GraphStore> {
-        GraphStore::durable_open_impl(
-            path.as_ref().to_path_buf(),
-            schema,
-            bootstrap,
-            extra,
-            options,
-            vfs::std_vfs(),
-            None,
-        )
-    }
-
-    /// [`GraphStore::open_durable_with`] over an explicit [`vfs::Vfs`]
-    /// — the hook fault-injection tests use to fail any individual I/O
-    /// operation of the bootstrap, recovery, commit, and checkpoint
-    /// paths.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `GraphStore::builder(schema).durable(path).vfs(fs).open()`"
-    )]
-    pub fn open_durable_with_vfs(
-        path: impl AsRef<Path>,
-        schema: GraphSchema,
-        bootstrap: GraphInstance,
-        extra: impl IntoIterator<Item = (String, RelInstance)>,
-        options: DurabilityOptions,
-        fs: Arc<dyn vfs::Vfs>,
-    ) -> StoreResult<GraphStore> {
-        GraphStore::durable_open_impl(
-            path.as_ref().to_path_buf(),
-            schema,
-            bootstrap,
-            extra,
-            options,
-            fs,
-            None,
-        )
     }
 
     /// Writes a checkpoint of the current generation now, rotating the
@@ -878,192 +798,25 @@ impl GraphStore {
     /// rejected or aborted attempts leave no entry, so their retries run
     /// the full commit path.
     pub fn commit_tagged(&self, delta: Delta, token: Option<u128>) -> StoreResult<CommitInfo> {
-        let commit_started = Instant::now();
-        let mut st = self.state.lock().unwrap_or_else(|p| p.into_inner());
-        if let Some(reason) = st.fence.as_ref().map(|f| f.reason.clone()) {
-            st.fenced_commits.inc();
-            return Err(StoreError::Fenced { reason });
-        }
-        if let Some(t) = token {
-            if let Some(generation) = st.idempotency.lookup(t) {
-                st.idempotent_replays.inc();
-                return Ok(CommitInfo {
-                    generation,
-                    published_generation: st.generation,
-                    snapshot: Arc::clone(&st.published_snapshot),
-                    node_keys: Vec::new(),
-                    edge_keys: Vec::new(),
-                    touched_tables: Vec::new(),
-                });
-            }
-        }
-        if delta.is_empty() {
-            // Empty commits publish nothing, but a token still pins the
-            // reply generation so a retry answers consistently.
-            if let Some(t) = token {
-                let generation = st.generation;
-                st.idempotency.record(t, generation);
-            }
-            return Ok(CommitInfo {
-                generation: st.generation,
-                published_generation: st.generation,
-                snapshot: Arc::clone(&st.published_snapshot),
-                node_keys: Vec::new(),
-                edge_keys: Vec::new(),
-                touched_tables: Vec::new(),
-            });
-        }
-        // Phase 1: pure validation (no mutation on any failure path).
-        // Runs to completion BEFORE the WAL is touched, so a rejected
-        // delta is side-effect-free on disk as well as in memory.
-        if let Err(e) = validate_delta(&st, &delta) {
-            st.rejected.inc();
-            return Err(StoreError::Rejected(e));
-        }
-        // Phase 1b (durable stores): the redo rule.  The record must be
-        // appended and flushed (optionally fsynced) before any reader can
-        // observe the generation it describes.  A write failure retries
-        // (bounded, with backoff), then aborts the commit with the file
-        // rolled back and the master state untouched; an un-rollbackable
-        // write or a failed fsync leaves on-disk state uncertain, so the
-        // store fences instead of guessing.
-        let next_generation = st.generation + 1;
-        if st.durable.is_some() {
-            let outcome = {
-                // Invariant: `durable` checked non-None two lines up and
-                // the lock is held throughout.
-                let d = st.durable.as_mut().expect("durable checked above");
-                wal_append_with_retry(d, next_generation, token, &delta, true)
-            };
-            match outcome {
-                WalOutcome::Appended { bytes } => {
-                    let d = st.durable.as_mut().expect("durable checked above");
-                    d.wal_records.inc();
-                    d.wal_bytes.add(bytes);
-                }
-                WalOutcome::Aborted(e) => return Err(e),
-                WalOutcome::MustFence(e) => {
-                    let reason = format!("wal failure with uncertain on-disk state: {e}");
-                    engage_fence(&mut st, reason.clone(), true);
-                    return Err(StoreError::Fenced { reason });
-                }
-            }
-        }
-        // Phase 2: apply to the master graph + table logs, recording
-        // per-table change sets.  Guaranteed to succeed by phase 1; an
-        // error here indicates an internal invariant violation — the
-        // master state is part-mutated, so the store fences with
-        // `memory_ok = false` (only a reopen recovers).
-        let applied = match apply_delta(&mut st, &delta) {
-            Ok(a) => a,
-            Err(e) => {
-                let msg = format!("commit apply phase failed mid-mutation: {e}");
-                engage_fence(&mut st, msg.clone(), false);
-                return Err(StoreError::Internal(msg));
-            }
-        };
-        // Phase 3: derive the new generation's images from the previous
-        // generation's by per-table delta application.
-        let prev = Arc::clone(&st.published_snapshot);
-        let mut induced = prev.induced().clone();
-        let mut columnar = prev.induced_columnar().clone();
-        let mut touched: Vec<String> = Vec::with_capacity(applied.deltas.len());
-        for (name, table_delta) in &applied.deltas {
-            let (row_base, col_base) = match (induced.table(name), columnar.table(name)) {
-                (Some(r), Some(c)) => (r, c),
-                _ => {
-                    // The master state already carries the delta but the
-                    // published image cannot follow: fence, reopen-only.
-                    let msg = format!("generation lost table `{name}` mid-publish");
-                    engage_fence(&mut st, msg.clone(), false);
-                    return Err(StoreError::Internal(msg));
-                }
-            };
-            let row_image = row_base.apply_delta(table_delta);
-            let col_image = col_base.apply_delta(table_delta);
-            // The incrementally patched image must equal what the table
-            // log would materialize from scratch (debug builds only).
-            // Invariant: `applied.deltas` keys come from `touch`, which
-            // only records names present in `st.tables` (debug-only
-            // code, so the `expect` can never fire in release builds).
-            debug_assert_eq!(
-                row_image,
-                st.tables.get(name).expect("touched table exists").snapshot_table(),
-                "patched image of `{name}` diverges from its log"
-            );
-            induced.insert_table(name.clone(), row_image);
-            columnar.insert_table(name.clone(), col_image);
-            touched.push(name.clone());
-        }
-        // Compact eagerly-enough logs now that the change sets are
-        // extracted (compaction renumbers slots, not published rows).
-        for name in applied.deltas.keys() {
-            if let Some(t) = st.tables.get_mut(name) {
-                if t.compact(false) {
-                    st.compactions.inc();
-                }
-            }
-        }
-        let (extra, extra_columnar) = prev.extra_parts();
-        let graph = publish_graph(&mut st, applied.replay);
-        let snapshot = Snapshot::from_parts_with_columnar(
-            prev.schema_arc(),
-            graph,
-            prev.ctx_arc(),
-            induced,
-            columnar,
-            extra,
-            extra_columnar,
-        );
-        st.published_snapshot = Arc::clone(&snapshot);
-        self.engine.swap_snapshot(Arc::clone(&snapshot));
-        st.generation += 1;
-        st.commits.inc();
-        // Record the token only now that the commit is fully published:
-        // a failed attempt must leave no dedup entry.  (Recording before
-        // the periodic checkpoint below lets the checkpoint carry it.)
-        if let Some(t) = token {
-            let generation = st.generation;
-            st.idempotency.record(t, generation);
-        }
-        // Periodic checkpoint: bounds replay cost and lets old WAL
-        // segments be vacuumed.  The commit itself already succeeded and
-        // published; a checkpoint failure is recorded, not propagated —
-        // durability falls back to a longer replay.
-        let due = st.durable.as_ref().is_some_and(|d| {
-            d.options.checkpoint_interval > 0
-                && st.generation - d.last_checkpoint >= d.options.checkpoint_interval
-        });
-        if due && write_checkpoint_locked(&mut st).is_err() {
-            if let Some(d) = st.durable.as_mut() {
-                d.checkpoint_failures.inc();
-            }
-        }
-        self.commit_e2e_micros.record(commit_started.elapsed().as_micros() as u64);
-        Ok(CommitInfo {
-            generation: st.generation,
-            published_generation: st.generation,
-            snapshot,
-            node_keys: applied.node_keys,
-            edge_keys: applied.edge_keys,
-            touched_tables: touched,
-        })
+        let mut results = self.commit_group_traced(vec![(delta, token, 0)]);
+        results.pop().expect("one member yields one result")
     }
 
     /// Validates and applies a **group** of deltas under one lock
     /// acquisition, one WAL fsync, and one generation publication — the
-    /// group-commit write path.  Returns one result per delta, in input
-    /// order.
+    /// store's one commit path ([`GraphStore::commit`] is a group of
+    /// one).  Returns one result per delta, in input order.
     ///
     /// Each member keeps its *individual* transactional identity:
     ///
-    /// - members validate **in order**, each against the master state as
-    ///   mutated by the accepted members before it (exactly the
-    ///   incremental sequential validation of [`GraphStore::commit`], so
-    ///   a group is equivalent to committing its accepted members
-    ///   serially in input order);
+    /// - members validate **in order**, each against the master state
+    ///   plus the staged effects of the accepted members before it (a
+    ///   later member can address an earlier member's additions by the
+    ///   keys they will receive), so a group is equivalent to committing
+    ///   its accepted members serially in input order;
     /// - a member that fails validation gets [`StoreError::Rejected`]
-    ///   and is skipped — it never poisons the rest of the group;
+    ///   and drops only its own staged effects — it never poisons the
+    ///   rest of the group;
     /// - each accepted member gets its **own WAL record and generation
     ///   number** (replay stays strictly sequential), but records are
     ///   only flushed per member and fsynced **once** for the whole
@@ -1078,14 +831,23 @@ impl GraphStore {
     ///
     /// # Failure semantics
     ///
-    /// Per-member failures (rejection, a rolled-back WAL write) affect
-    /// only that member.  Failures that leave on-disk or in-memory state
-    /// uncertain (un-rollbackable WAL write, apply-phase error, failed
-    /// group fsync) fence the store; members already applied in memory
-    /// but **not yet published** also get [`StoreError::Fenced`] —
-    /// nothing they wrote is observable, and recovery replays only what
-    /// the WAL proves.  Readers keep the last published generation
-    /// either way.
+    /// Every member is validated and logged, and the shared fsync has
+    /// succeeded, **before** any member is applied.  So:
+    ///
+    /// - a rejected member ([`StoreError::Rejected`]) or a rolled-back
+    ///   WAL write ([`StoreError::Io`]) affects only that member;
+    /// - a failed fsync or an un-rollbackable WAL write leaves the
+    ///   group's records of uncertain durability: they are truncated
+    ///   away on a best-effort basis, the store fences read-only, and
+    ///   every accepted member gets [`StoreError::Fenced`].  Nothing was
+    ///   applied, so the in-memory state is intact and
+    ///   [`GraphStore::checkpoint_now`] lifts the fence in place;
+    /// - an apply-phase error breaks an internal invariant mid-mutation:
+    ///   the store fences with suspect in-memory state, every accepted
+    ///   member gets [`StoreError::Internal`], and only a reopen
+    ///   recovers.
+    ///
+    /// Readers keep the last published generation throughout.
     pub fn commit_group(&self, deltas: Vec<Delta>) -> Vec<StoreResult<CommitInfo>> {
         self.commit_group_tagged(deltas.into_iter().map(|d| (d, None)).collect())
     }
@@ -1093,9 +855,10 @@ impl GraphStore {
     /// [`GraphStore::commit_group`] with an optional idempotency token
     /// per member — the group-commit face of
     /// [`GraphStore::commit_tagged`].  A member whose token already
-    /// committed is answered from the dedup table (original generation,
-    /// nothing re-applied) and consumes no WAL record or generation; the
-    /// rest of the group proceeds normally.
+    /// committed, in the dedup table or as an earlier member of the same
+    /// group, is answered with the original generation (nothing
+    /// re-applied) and consumes no WAL record or generation; the rest of
+    /// the group proceeds normally.
     pub fn commit_group_tagged(
         &self,
         deltas: Vec<(Delta, Option<u128>)>,
@@ -1113,13 +876,11 @@ impl GraphStore {
         &self,
         deltas: Vec<(Delta, Option<u128>, u64)>,
     ) -> Vec<StoreResult<CommitInfo>> {
-        if deltas.is_empty() {
-            return Vec::new();
-        }
         let commit_started = Instant::now();
-        let tracer = Arc::clone(self.obs.tracer());
+        let tracer = self.obs.tracer();
         let group_trace = deltas.iter().map(|(_, _, t)| *t).find(|t| *t != 0).unwrap_or(0);
-        let mut st = self.state.lock().unwrap_or_else(|p| p.into_inner());
+        let mut guard = self.state.lock().unwrap_or_else(|p| p.into_inner());
+        let st = &mut *guard;
         if let Some(reason) = st.fence.as_ref().map(|f| f.reason.clone()) {
             st.fenced_commits.add(deltas.len() as u64);
             return deltas
@@ -1127,280 +888,266 @@ impl GraphStore {
                 .map(|_| Err(StoreError::Fenced { reason: reason.clone() }))
                 .collect();
         }
-        /// An accepted member awaiting the group's publication.
-        struct Accepted {
-            idx: usize,
-            generation: u64,
-            token: Option<u128>,
-            node_keys: Vec<NodeKey>,
-            edge_keys: Vec<EdgeKey>,
-            touched: Vec<String>,
-        }
-        let mut results: Vec<Option<StoreResult<CommitInfo>>> =
-            deltas.iter().map(|_| None).collect();
-        let mut accepted: Vec<Accepted> = Vec::new();
-        let mut empties: Vec<usize> = Vec::new();
-        let mut group_replay: Vec<ResolvedOp> = Vec::new();
-        let prev = Arc::clone(&st.published_snapshot);
-        let mut induced = prev.induced().clone();
-        let mut columnar = prev.induced_columnar().clone();
-        // Per touched table: the pre-group row count and the group's
-        // folded delta (every member's table delta absorbed in commit
-        // order) — materialized into row + columnar images once per
-        // group, not once per member.
-        let mut folded: BTreeMap<String, (usize, TableDelta)> = BTreeMap::new();
-        let mut appended_any = false;
-        let mut fence_abort: Option<String> = None;
-        'members: for (idx, (delta, token, trace)) in deltas.iter().enumerate() {
-            if let Some(t) = token {
-                if let Some(generation) = st.idempotency.lookup(*t) {
-                    // Replay hit: the original commit is already durable
-                    // and published, so answer immediately — this member
-                    // consumes no WAL record, generation, or apply work.
+        // Phase 1, member by member: the idempotency token, staged
+        // validation, and the WAL append.  Validation runs to completion
+        // before the member's record is written, so a rejected member is
+        // side-effect-free on disk as well as in memory; and since nothing
+        // is applied yet, a member that fails drops only its own staged
+        // effects.  Generations are provisional until phase 3.
+        let wal_start = st.durable.as_ref().map(|d| d.wal.len());
+        let mut staging = Staging::new(st);
+        let mut members: Vec<Member> = Vec::with_capacity(deltas.len());
+        // Tokens of this group's successful members, in member order.
+        let mut tokens: Vec<(u128, u64)> = Vec::new();
+        let mut generation = st.generation;
+        let (mut records, mut bytes, mut in_group_replays) = (0u64, 0u64, 0u64);
+        let mut fence: Option<StoreError> = None;
+        for (delta, token, trace) in &deltas {
+            if let Some(t) = *token {
+                if let Some(original) = st.idempotency.lookup(t) {
+                    // The original commit is already durable and
+                    // published: answer now, consuming nothing.
                     st.idempotent_replays.inc();
-                    results[idx] = Some(Ok(CommitInfo {
-                        generation,
+                    members.push(Member::Done(Ok(CommitInfo {
+                        generation: original,
                         published_generation: st.generation,
                         snapshot: Arc::clone(&st.published_snapshot),
                         node_keys: Vec::new(),
                         edge_keys: Vec::new(),
                         touched_tables: Vec::new(),
-                    }));
+                    })));
+                    continue;
+                }
+                if let Some(&(_, original)) = tokens.iter().find(|(seen, _)| *seen == t) {
+                    // A retry queued behind its own original: it shares
+                    // the original's outcome.
+                    in_group_replays += 1;
+                    members.push(Member::Unchanged { generation: original });
                     continue;
                 }
             }
             if delta.is_empty() {
-                if let Some(t) = token {
-                    let generation = st.generation;
-                    st.idempotency.record(*t, generation);
+                // Empty commits publish nothing, but a token still pins
+                // the reply generation so a retry answers consistently.
+                tokens.extend(token.map(|t| (t, generation)));
+                members.push(Member::Unchanged { generation });
+                continue;
+            }
+            let saved = staging.clone();
+            let keys = match staging.stage(st, delta) {
+                Ok(keys) => keys,
+                Err(e) => {
+                    staging = saved;
+                    st.rejected.inc();
+                    members.push(Member::Done(Err(StoreError::Rejected(e))));
+                    continue;
                 }
-                empties.push(idx);
-                continue;
-            }
-            // Validate against master + the accepted members before this
-            // one (they are already applied to `st`), reusing the solo
-            // commit's sequential incremental validator.
-            if let Err(e) = validate_delta(&st, delta) {
-                st.rejected.inc();
-                results[idx] = Some(Err(StoreError::Rejected(e)));
-                continue;
-            }
-            let next_generation = st.generation + 1;
-            if st.durable.is_some() {
-                let outcome = {
-                    // Invariant: `durable` checked non-None above; the
-                    // lock is held throughout.
-                    let d = st.durable.as_mut().expect("durable checked above");
-                    // Append + flush only: the group shares one fsync.
-                    let span = (*trace != 0).then(|| tracer.span(*trace, 0, "store.wal_append"));
-                    let outcome = wal_append_with_retry(d, next_generation, *token, delta, false);
-                    drop(span);
-                    outcome
-                };
+            };
+            if let Some(d) = st.durable.as_mut() {
+                let span = (*trace != 0).then(|| tracer.span(*trace, 0, "store.wal_append"));
+                let outcome = wal_append_with_retry(d, generation + 1, *token, delta);
+                drop(span);
                 match outcome {
-                    WalOutcome::Appended { bytes } => {
-                        let d = st.durable.as_mut().expect("durable checked above");
-                        d.wal_records.inc();
-                        d.wal_bytes.add(bytes);
-                        appended_any = true;
+                    WalOutcome::Appended { bytes: b } => {
+                        records += 1;
+                        bytes += b;
                     }
                     WalOutcome::Aborted(e) => {
                         // Rolled back cleanly: this member aborts alone
-                        // and the group continues (generations stay
-                        // contiguous because none was consumed).
-                        results[idx] = Some(Err(e));
+                        // and consumes no generation.
+                        staging = saved;
+                        members.push(Member::Done(Err(e)));
                         continue;
                     }
                     WalOutcome::MustFence(e) => {
-                        fence_abort =
-                            Some(format!("wal failure with uncertain on-disk state: {e}"));
-                        break 'members;
-                    }
-                }
-            }
-            let applied = match apply_delta(&mut st, delta) {
-                Ok(a) => a,
-                Err(e) => {
-                    fence_abort =
-                        Some(format!("group commit apply phase failed mid-mutation: {e}"));
-                    break 'members;
-                }
-            };
-            let mut touched: Vec<String> = Vec::with_capacity(applied.deltas.len());
-            for (name, table_delta) in &applied.deltas {
-                // Fold this member's per-table delta into the group's
-                // accumulated delta (cheap index arithmetic — no row is
-                // copied until the single per-group image derivation
-                // below).  The fold base is the *pre-group* image, fixed
-                // at first touch.
-                if !folded.contains_key(name) {
-                    match (induced.table(name), columnar.table(name)) {
-                        (Some(r), Some(_)) => {
-                            folded.insert(name.clone(), (r.len(), TableDelta::new()));
-                        }
-                        _ => {
-                            fence_abort =
-                                Some(format!("generation lost table `{name}` mid-publish"));
-                            break 'members;
-                        }
-                    }
-                }
-                let (base_rows, acc) = folded.get_mut(name).expect("inserted above");
-                acc.absorb(*base_rows, table_delta);
-                touched.push(name.clone());
-            }
-            for name in applied.deltas.keys() {
-                if let Some(t) = st.tables.get_mut(name) {
-                    if t.compact(false) {
-                        st.compactions.inc();
-                    }
-                }
-            }
-            st.generation = next_generation;
-            group_replay.extend(applied.replay);
-            accepted.push(Accepted {
-                idx,
-                generation: next_generation,
-                token: *token,
-                node_keys: applied.node_keys,
-                edge_keys: applied.edge_keys,
-                touched,
-            });
-        }
-        // The single per-group image derivation — the second amortized
-        // step next to the shared fsync: each touched table is patched
-        // once with the group's folded delta, in both layouts.
-        if fence_abort.is_none() {
-            for (name, (_, delta)) in &folded {
-                let images = match (induced.table(name), columnar.table(name)) {
-                    (Some(r), Some(c)) => (r.apply_delta(delta), c.apply_delta(delta)),
-                    _ => {
-                        fence_abort = Some(format!("generation lost table `{name}` mid-publish"));
+                        fence = Some(e);
                         break;
                     }
-                };
-                // The folded image must equal what the master log would
-                // materialize (debug builds only), exactly as in the
-                // solo commit.
-                debug_assert_eq!(
-                    images.0,
-                    st.tables.get(name).expect("touched table exists").snapshot_table(),
-                    "patched group image of `{name}` diverges from its log"
-                );
-                induced.insert_table(name.clone(), images.0);
-                columnar.insert_table(name.clone(), images.1);
-            }
-        }
-        // The group's single fsync: the amortized step.  Failure can
-        // never be trusted retroactively, so it fences (memory has
-        // advanced past the published images — reopen-only).
-        if fence_abort.is_none()
-            && appended_any
-            && st.durable.as_ref().is_some_and(|d| d.options.fsync_each_commit)
-        {
-            let span = (group_trace != 0).then(|| tracer.span(group_trace, 0, "store.fsync"));
-            let sync_started = Instant::now();
-            let sync = st.durable.as_mut().expect("durable checked above").wal.sync();
-            if let Some(d) = st.durable.as_ref() {
-                d.wal_fsync_micros.record(sync_started.elapsed().as_micros() as u64);
-            }
-            drop(span);
-            if let Err(e) = sync {
-                fence_abort = Some(format!("wal group fsync failed: {e}"));
-            }
-        }
-        if let Some(reason) = fence_abort {
-            // Accepted-but-unpublished members are lost with the fence:
-            // the master state has advanced past the published images,
-            // so only a reopen (replaying what the WAL proves) recovers.
-            engage_fence(&mut st, reason.clone(), false);
-            for r in results.iter_mut() {
-                if r.is_none() {
-                    st.fenced_commits.inc();
-                    *r = Some(Err(StoreError::Fenced { reason: reason.clone() }));
                 }
             }
-            return results.into_iter().map(|r| r.expect("every member resolved")).collect();
+            generation += 1;
+            tokens.extend(token.map(|t| (t, generation)));
+            members.push(Member::Accepted { generation, keys });
         }
-        if accepted.is_empty() {
-            // Nothing to publish (all empty or rejected): empty members
-            // succeed against the unchanged current generation.
-            let snapshot = Arc::clone(&st.published_snapshot);
-            let generation = st.generation;
-            for idx in empties {
-                results[idx] = Some(Ok(CommitInfo {
-                    generation,
-                    published_generation: generation,
-                    snapshot: Arc::clone(&snapshot),
-                    node_keys: Vec::new(),
-                    edge_keys: Vec::new(),
-                    touched_tables: Vec::new(),
-                }));
+        // Phase 2: the group's one fsync, before anything is applied.  A
+        // failed fsync can never be trusted retroactively (the kernel may
+        // have dropped the dirty pages), so it fences — but with the
+        // in-memory state intact.
+        if fence.is_none() && records > 0 {
+            if let Some(d) = st.durable.as_mut().filter(|d| d.options.fsync_each_commit) {
+                let span = (group_trace != 0).then(|| tracer.span(group_trace, 0, "store.fsync"));
+                let sync_started = Instant::now();
+                let sync = d.wal.sync();
+                d.wal_fsync_micros.record(sync_started.elapsed().as_micros() as u64);
+                drop(span);
+                fence = sync.err();
             }
-            return results.into_iter().map(|r| r.expect("every member resolved")).collect();
         }
-        // One publication for the whole group: one backlog entry holding
-        // the concatenated resolved ops, one snapshot, one engine swap.
-        let publish_span = (group_trace != 0).then(|| tracer.span(group_trace, 0, "store.publish"));
-        let (extra, extra_columnar) = prev.extra_parts();
-        let publish_gen = st.generation;
-        let graph = publish_graph_at(&mut st, publish_gen, group_replay);
-        let snapshot = Snapshot::from_parts_with_columnar(
-            prev.schema_arc(),
-            graph,
-            prev.ctx_arc(),
-            induced,
-            columnar,
-            extra,
-            extra_columnar,
-        );
-        st.published_snapshot = Arc::clone(&snapshot);
-        self.engine.swap_snapshot(Arc::clone(&snapshot));
-        drop(publish_span);
-        st.commits.add(accepted.len() as u64);
-        self.group_commit_size.record(accepted.len() as u64);
-        let member_e2e = commit_started.elapsed().as_micros() as u64;
-        for _ in 0..accepted.len() {
-            self.commit_e2e_micros.record(member_e2e);
+        if let Some(e) = fence {
+            // Best-effort removal of the group's records of unknown
+            // durability; the fence stands either way (even a successful
+            // truncate only lives in the page cache until the next sync),
+            // and `checkpoint_now` re-captures the intact memory state on
+            // fresh files.
+            if let (Some(d), Some(len)) = (st.durable.as_mut(), wal_start) {
+                d.wal.truncate_to(len);
+            }
+            let reason = format!("wal failure with uncertain on-disk state: {e}");
+            engage_fence(st, reason.clone(), true);
+            return fail_pending(members, deltas.len(), StoreError::Fenced { reason });
         }
-        // Record member tokens only now that the group is published (and
-        // before the periodic checkpoint, so it carries them).
-        for m in &accepted {
-            if let Some(t) = m.token {
-                st.idempotency.record(t, m.generation);
+        if let Some(d) = st.durable.as_ref() {
+            d.wal_records.add(records);
+            d.wal_bytes.add(bytes);
+        }
+        // Phase 3: apply every accepted member in order, folding its
+        // per-table deltas into the group's (pure index arithmetic — no
+        // row is copied until the single image derivation below), then
+        // derive the images and publish once.  Validation staged exactly
+        // these effects, so an error here is an internal invariant
+        // violation with the master state part-mutated: reopen-only.
+        let prev = Arc::clone(&st.published_snapshot);
+        let mut applied_members = 0u64;
+        let published: std::result::Result<Arc<Snapshot>, String> = 'publish: {
+            // Per touched table: the pre-group row count and the group's
+            // folded delta.
+            let mut folded: BTreeMap<String, (usize, TableDelta)> = BTreeMap::new();
+            let mut group_replay: Vec<ResolvedOp> = Vec::new();
+            for (member, (delta, ..)) in members.iter_mut().zip(&deltas) {
+                let Member::Accepted { generation, keys } = member else { continue };
+                let first_key = st.next_key;
+                let applied = match apply_delta(st, delta) {
+                    Ok(a) => a,
+                    Err(e) => {
+                        break 'publish Err(format!("commit apply phase failed mid-mutation: {e}"))
+                    }
+                };
+                debug_assert_eq!(first_key..st.next_key, *keys, "apply assigns the staged keys");
+                let mut touched: Vec<String> = Vec::with_capacity(applied.deltas.len());
+                for (name, table_delta) in applied.deltas {
+                    // Compaction renumbers log slots, not published rows,
+                    // so it is safe once the change set is extracted.
+                    if st.tables.get_mut(&name).is_some_and(|t| t.compact(false)) {
+                        st.compactions.inc();
+                    }
+                    match folded.get_mut(&name) {
+                        Some((base_rows, acc)) => acc.absorb(*base_rows, &table_delta),
+                        None => {
+                            let base_rows = prev.induced().table(&name).map_or(0, |t| t.len());
+                            folded.insert(name.clone(), (base_rows, table_delta));
+                        }
+                    }
+                    touched.push(name);
+                }
+                st.generation = *generation;
+                group_replay.extend(applied.replay);
+                applied_members += 1;
+                *member = Member::Applied {
+                    generation: *generation,
+                    node_keys: applied.node_keys,
+                    edge_keys: applied.edge_keys,
+                    touched,
+                };
+            }
+            if applied_members == 0 {
+                break 'publish Ok(prev);
+            }
+            let publish_span =
+                (group_trace != 0).then(|| tracer.span(group_trace, 0, "store.publish"));
+            let mut induced = prev.induced().clone();
+            let mut columnar = prev.induced_columnar().clone();
+            for (name, (_, delta)) in &folded {
+                let (Some(rows), Some(cols)) = (induced.table(name), columnar.table(name)) else {
+                    break 'publish Err(format!("generation lost table `{name}` mid-publish"));
+                };
+                let (row_image, col_image) = (rows.apply_delta(delta), cols.apply_delta(delta));
+                // The patched image must equal what the table log would
+                // materialize from scratch (debug builds only).
+                // Invariant: `folded` keys come from `touch`, which only
+                // records names present in `st.tables`.
+                debug_assert_eq!(
+                    row_image,
+                    st.tables.get(name).expect("touched table exists").snapshot_table(),
+                    "patched image of `{name}` diverges from its log"
+                );
+                induced.insert_table(name.clone(), row_image);
+                columnar.insert_table(name.clone(), col_image);
+            }
+            let (extra, extra_columnar) = prev.extra_parts();
+            let graph = publish_graph(st, group_replay);
+            let snapshot = Snapshot::from_parts_with_columnar(
+                prev.schema_arc(),
+                graph,
+                prev.ctx_arc(),
+                induced,
+                columnar,
+                extra,
+                extra_columnar,
+            );
+            st.published_snapshot = Arc::clone(&snapshot);
+            self.engine.swap_snapshot(Arc::clone(&snapshot));
+            drop(publish_span);
+            Ok(snapshot)
+        };
+        let snapshot = match published {
+            Ok(snapshot) => snapshot,
+            Err(msg) => {
+                engage_fence(st, msg.clone(), false);
+                return fail_pending(members, deltas.len(), StoreError::Internal(msg));
+            }
+        };
+        // Record tokens only now that the group is published (a failed
+        // attempt must leave no dedup entry), and before the periodic
+        // checkpoint below so it carries them.
+        for (t, g) in tokens {
+            st.idempotency.record(t, g);
+        }
+        st.idempotent_replays.add(in_group_replays);
+        if applied_members > 0 {
+            st.commits.add(applied_members);
+            self.group_commit_size.record(applied_members);
+            let member_e2e = commit_started.elapsed().as_micros() as u64;
+            for _ in 0..applied_members {
+                self.commit_e2e_micros.record(member_e2e);
+            }
+            // Periodic checkpoint: bounds replay cost and lets old WAL
+            // segments be vacuumed.  The group already published; a
+            // checkpoint failure is recorded, not propagated —
+            // durability falls back to a longer replay.
+            let due = st.durable.as_ref().is_some_and(|d| {
+                d.options.checkpoint_interval > 0
+                    && st.generation - d.last_checkpoint >= d.options.checkpoint_interval
+            });
+            if due && write_checkpoint_locked(st).is_err() {
+                if let Some(d) = st.durable.as_mut() {
+                    d.checkpoint_failures.inc();
+                }
             }
         }
         let published_generation = st.generation;
-        let due = st.durable.as_ref().is_some_and(|d| {
-            d.options.checkpoint_interval > 0
-                && st.generation - d.last_checkpoint >= d.options.checkpoint_interval
-        });
-        if due && write_checkpoint_locked(&mut st).is_err() {
-            if let Some(d) = st.durable.as_mut() {
-                d.checkpoint_failures.inc();
-            }
-        }
-        for m in accepted {
-            results[m.idx] = Some(Ok(CommitInfo {
-                generation: m.generation,
-                published_generation,
-                snapshot: Arc::clone(&snapshot),
-                node_keys: m.node_keys,
-                edge_keys: m.edge_keys,
-                touched_tables: m.touched,
-            }));
-        }
-        for idx in empties {
-            results[idx] = Some(Ok(CommitInfo {
-                generation: published_generation,
-                published_generation,
-                snapshot: Arc::clone(&snapshot),
-                node_keys: Vec::new(),
-                edge_keys: Vec::new(),
-                touched_tables: Vec::new(),
-            }));
-        }
-        results.into_iter().map(|r| r.expect("every member resolved")).collect()
+        let info = |generation, node_keys, edge_keys, touched_tables| CommitInfo {
+            generation,
+            published_generation,
+            snapshot: Arc::clone(&snapshot),
+            node_keys,
+            edge_keys,
+            touched_tables,
+        };
+        members
+            .into_iter()
+            .map(|member| match member {
+                Member::Done(result) => result,
+                Member::Applied { generation, node_keys, edge_keys, touched } => {
+                    Ok(info(generation, node_keys, edge_keys, touched))
+                }
+                Member::Unchanged { generation } => {
+                    Ok(info(generation, Vec::new(), Vec::new(), Vec::new()))
+                }
+                Member::Accepted { .. } => {
+                    Err(StoreError::Internal("an accepted member was never applied".into()))
+                }
+            })
+            .collect()
     }
 }
 
@@ -1447,31 +1194,68 @@ fn engage_fence(st: &mut StoreState, reason: String, memory_ok: bool) {
     st.fence_events.inc();
 }
 
-/// How the WAL phase of a commit ended.
+/// Where one member of a commit group stands while the group commits.
+enum Member {
+    /// Settled before the group's fsync: rejected, aborted, or answered
+    /// from the dedup table.
+    Done(StoreResult<CommitInfo>),
+    /// Validated and logged, awaiting the apply phase; `keys` are the
+    /// stable keys validation predicted for its additions.
+    Accepted { generation: u64, keys: Range<u64> },
+    /// Applied, awaiting the group's publication.
+    Applied {
+        generation: u64,
+        node_keys: Vec<NodeKey>,
+        edge_keys: Vec<EdgeKey>,
+        touched: Vec<String>,
+    },
+    /// Nothing to apply — an empty delta, or a token already carried by
+    /// an earlier member of the group: succeeds at `generation` once the
+    /// group publishes.
+    Unchanged { generation: u64 },
+}
+
+/// The results of a group that could not publish: settled members keep
+/// their own result, every other member (including any the group never
+/// reached) gets `err`.
+fn fail_pending(
+    members: Vec<Member>,
+    total: usize,
+    err: StoreError,
+) -> Vec<StoreResult<CommitInfo>> {
+    let mut results: Vec<StoreResult<CommitInfo>> = members
+        .into_iter()
+        .map(|member| match member {
+            Member::Done(result) => result,
+            _ => Err(err.clone()),
+        })
+        .collect();
+    results.resize_with(total, || Err(err.clone()));
+    results
+}
+
+/// How one member's WAL append ended.
 enum WalOutcome {
-    /// Record written and (if configured) fsynced; commit proceeds.
+    /// Record written and flushed; the member proceeds to the group's
+    /// shared fsync.
     Appended { bytes: u64 },
-    /// Write failed after retries but rolled back cleanly: the commit
+    /// Write failed after retries but rolled back cleanly: the member
     /// aborts side-effect-free and the store stays live.
     Aborted(StoreError),
-    /// Either the rollback failed (bytes of unknown validity past the
-    /// valid prefix) or an fsync failed (durability of the record — and
-    /// of any later truncation — can never be assumed): fence.
+    /// The rollback failed: bytes of unknown validity sit past the valid
+    /// prefix, so the group fences.
     MustFence(StoreError),
 }
 
-/// Appends one commit record, retrying transient **write** failures with
-/// linear backoff.  Fsync is never retried: a failed fsync may already
-/// have dropped the dirty pages (fsyncgate), so the only honest outcomes
-/// are "fence" or "not configured to fsync".  A group commit passes
-/// `fsync = false` per member and issues one shared
-/// [`WalWriter::sync`](wal::WalWriter::sync) for the whole group.
+/// Appends and flushes one commit record, retrying transient **write**
+/// failures with linear backoff.  The fsync is the caller's separate,
+/// unretriable step: the group issues one
+/// [`WalWriter::sync`](wal::WalWriter::sync) for all its records.
 fn wal_append_with_retry(
     d: &mut DurableState,
     generation: u64,
     token: Option<u128>,
     delta: &Delta,
-    fsync: bool,
 ) -> WalOutcome {
     let max_retries = d.options.wal_retry_attempts;
     let mut attempt = 0u32;
@@ -1480,20 +1264,6 @@ fn wal_append_with_retry(
         match d.wal.append(generation, token, delta) {
             Ok(bytes) => {
                 d.wal_append_micros.record(append_started.elapsed().as_micros() as u64);
-                if fsync && d.options.fsync_each_commit {
-                    let sync_started = Instant::now();
-                    let sync = d.wal.sync();
-                    d.wal_fsync_micros.record(sync_started.elapsed().as_micros() as u64);
-                    if let Err(e) = sync {
-                        // Best-effort removal of the record whose
-                        // durability is unknown; the fence stands either
-                        // way (even a successful truncate only lives in
-                        // the page cache until the *next* sync).
-                        let target = d.wal.len().saturating_sub(bytes);
-                        let _ = d.wal.truncate_to(target);
-                        return WalOutcome::MustFence(e);
-                    }
-                }
                 return WalOutcome::Appended { bytes };
             }
             Err(ae) => {
@@ -1518,12 +1288,12 @@ fn wal_append_with_retry(
 
 #[cfg(test)]
 mod tests {
-    // The deprecated `open_durable*` ladder keeps its original test
-    // coverage here; new code goes through `GraphStore::builder`.
-    #![allow(deprecated)]
     use super::*;
     use graphiti_engine::{BatchQuery, SqlTarget};
     use graphiti_graph::{EdgeType, NodeType};
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn emp_schema() -> GraphSchema {
         GraphSchema::new()
@@ -1992,18 +1762,26 @@ vs\n{tb}"
         }
     }
 
+    /// A durable store at `dir` bootstrapped with `emp_graph()` (or
+    /// recovered, when the directory already holds one).
+    fn open_durable(dir: &Path, options: DurabilityOptions) -> StoreResult<GraphStore> {
+        GraphStore::builder(emp_schema())
+            .durable(dir)
+            .bootstrap(emp_graph())
+            .durability(options)
+            .open()
+    }
+
+    /// Recovers the durable store at `dir` with default options.
+    fn reopen(dir: &Path) -> StoreResult<GraphStore> {
+        GraphStore::builder(emp_schema()).durable(dir).open()
+    }
+
     #[test]
     fn durable_store_recovers_after_reopen() {
         let dir = scratch("reopen");
         {
-            let store = GraphStore::open_durable_with(
-                &dir,
-                emp_schema(),
-                emp_graph(),
-                [],
-                durable_opts(true, 0),
-            )
-            .unwrap();
+            let store = open_durable(&dir, durable_opts(true, 0)).unwrap();
             for d in scripted_deltas() {
                 store.commit(d).unwrap();
             }
@@ -2011,14 +1789,7 @@ vs\n{tb}"
             assert_eq!(stats.wal_records, 5);
             assert!(stats.wal_bytes > 0);
         }
-        let recovered = GraphStore::open_durable_with(
-            &dir,
-            emp_schema(),
-            GraphInstance::new(), // ignored: the directory is non-empty
-            [],
-            durable_opts(true, 0),
-        )
-        .unwrap();
+        let recovered = open_durable(&dir, durable_opts(true, 0)).unwrap();
         assert_eq!(recovered.stats().replayed_commits, 5);
         assert_stores_equal(&recovered, &oracle_after(5));
         // The recovered store keeps accepting (and logging) commits.
@@ -2033,14 +1804,7 @@ vs\n{tb}"
     fn checkpoints_bound_replay_and_vacuum_segments() {
         let dir = scratch("ckpt");
         {
-            let store = GraphStore::open_durable_with(
-                &dir,
-                emp_schema(),
-                emp_graph(),
-                [],
-                durable_opts(false, 2),
-            )
-            .unwrap();
+            let store = open_durable(&dir, durable_opts(false, 2)).unwrap();
             for d in scripted_deltas() {
                 store.commit(d).unwrap();
             }
@@ -2051,14 +1815,7 @@ vs\n{tb}"
             assert!(stats.wal_segments_removed >= 1, "covered segments are vacuumed");
         }
         assert!(checkpoint_files(&dir).unwrap().len() <= 2, "retention keeps 2 checkpoints");
-        let recovered = GraphStore::open_durable_with(
-            &dir,
-            emp_schema(),
-            GraphInstance::new(),
-            [],
-            durable_opts(false, 2),
-        )
-        .unwrap();
+        let recovered = open_durable(&dir, durable_opts(false, 2)).unwrap();
         assert_eq!(recovered.stats().replayed_commits, 1, "replay only past generation 4");
         assert_stores_equal(&recovered, &oracle_after(5));
     }
@@ -2067,20 +1824,13 @@ vs\n{tb}"
     fn checkpoint_now_rotates_and_later_crash_recovers_without_replay() {
         let dir = scratch("manual-ckpt");
         {
-            let store = GraphStore::open_durable_with(
-                &dir,
-                emp_schema(),
-                emp_graph(),
-                [],
-                durable_opts(true, 0),
-            )
-            .unwrap();
+            let store = open_durable(&dir, durable_opts(true, 0)).unwrap();
             for d in scripted_deltas() {
                 store.commit(d).unwrap();
             }
             assert_eq!(store.checkpoint_now().unwrap(), 5);
         }
-        let recovered = GraphStore::open_durable(&dir, emp_schema()).unwrap();
+        let recovered = reopen(&dir).unwrap();
         assert_eq!(recovered.stats().replayed_commits, 0, "checkpoint covers everything");
         assert_stores_equal(&recovered, &oracle_after(5));
     }
@@ -2088,14 +1838,7 @@ vs\n{tb}"
     #[test]
     fn rejected_deltas_write_no_wal_record_and_recovery_is_pre_delta() {
         let dir = scratch("reject");
-        let store = GraphStore::open_durable_with(
-            &dir,
-            emp_schema(),
-            emp_graph(),
-            [],
-            durable_opts(true, 0),
-        )
-        .unwrap();
+        let store = open_durable(&dir, durable_opts(true, 0)).unwrap();
         let mut good = Delta::new();
         good.add_node("EMP", [("id", Value::Int(10)), ("name", Value::str("ok"))]);
         store.commit(good).unwrap();
@@ -2115,7 +1858,7 @@ vs\n{tb}"
         // Crash (drop without checkpoint) and recover: the rejected
         // delta must have left no trace on disk either.
         drop(store);
-        let recovered = GraphStore::open_durable(&dir, emp_schema()).unwrap();
+        let recovered = reopen(&dir).unwrap();
         assert_eq!(recovered.generation(), 1);
         assert_eq!(recovered.stats().rejected_commits, 0, "rejection predates the checkpoint era");
         let emp = recovered.snapshot().induced().table("EMP").unwrap().clone();
@@ -2128,14 +1871,7 @@ vs\n{tb}"
     fn torn_tail_recovers_at_every_byte_offset_of_the_final_record() {
         let dir = scratch("torn");
         {
-            let store = GraphStore::open_durable_with(
-                &dir,
-                emp_schema(),
-                emp_graph(),
-                [],
-                durable_opts(true, 0),
-            )
-            .unwrap();
+            let store = open_durable(&dir, durable_opts(true, 0)).unwrap();
             for d in scripted_deltas().into_iter().take(2) {
                 store.commit(d).unwrap();
             }
@@ -2157,7 +1893,7 @@ vs\n{tb}"
                 .unwrap();
             f.set_len(cut).unwrap();
             drop(f);
-            let recovered = GraphStore::open_durable(&cut_dir, emp_schema()).unwrap();
+            let recovered = reopen(&cut_dir).unwrap();
             if cut == full {
                 assert_stores_equal(&recovered, &oracle2);
             } else {
@@ -2180,14 +1916,7 @@ vs\n{tb}"
     fn a_corrupt_newest_checkpoint_with_vacuumed_wal_refuses_to_lose_commits() {
         let dir = scratch("fallback-refuse");
         {
-            let store = GraphStore::open_durable_with(
-                &dir,
-                emp_schema(),
-                emp_graph(),
-                [],
-                durable_opts(true, 0),
-            )
-            .unwrap();
+            let store = open_durable(&dir, durable_opts(true, 0)).unwrap();
             store.commit(scripted_deltas().remove(0)).unwrap();
             store.checkpoint_now().unwrap();
         }
@@ -2201,7 +1930,7 @@ vs\n{tb}"
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0xFF;
         std::fs::write(&newest, &bytes).unwrap();
-        let err = GraphStore::open_durable(&dir, emp_schema()).unwrap_err();
+        let err = reopen(&dir).unwrap_err();
         match err {
             StoreError::Corrupt { file, detail } => {
                 assert_eq!(file, newest, "the error names the unloadable checkpoint");
@@ -2216,14 +1945,7 @@ vs\n{tb}"
         let dir = scratch("fallback-bridge");
         let wal_before;
         {
-            let store = GraphStore::open_durable_with(
-                &dir,
-                emp_schema(),
-                emp_graph(),
-                [],
-                durable_opts(true, 0),
-            )
-            .unwrap();
+            let store = open_durable(&dir, durable_opts(true, 0)).unwrap();
             store.commit(scripted_deltas().remove(0)).unwrap();
             // Keep a copy of the segment holding commit 1; checkpointing
             // vacuums it.
@@ -2242,7 +1964,7 @@ vs\n{tb}"
         // Fallback to the bootstrap checkpoint is sound here: the
         // surviving segment replays commit 1, reaching the acknowledged
         // generation exactly.
-        let recovered = GraphStore::open_durable(&dir, emp_schema()).unwrap();
+        let recovered = reopen(&dir).unwrap();
         assert_eq!(recovered.generation(), 1);
         assert_eq!(recovered.stats().replayed_commits, 1);
         assert_stores_equal(&recovered, &oracle_after(1));
@@ -2252,17 +1974,10 @@ vs\n{tb}"
     fn durable_bootstrap_checkpoints_generation_zero() {
         let dir = scratch("bootstrap");
         {
-            let _store = GraphStore::open_durable_with(
-                &dir,
-                emp_schema(),
-                emp_graph(),
-                [],
-                durable_opts(true, 0),
-            )
-            .unwrap();
+            let _store = open_durable(&dir, durable_opts(true, 0)).unwrap();
             // No commits at all: the opening state alone must be durable.
         }
-        let recovered = GraphStore::open_durable(&dir, emp_schema()).unwrap();
+        let recovered = reopen(&dir).unwrap();
         assert_eq!(recovered.generation(), 0);
         assert_stores_equal(&recovered, &oracle_after(0));
     }
@@ -2271,14 +1986,7 @@ vs\n{tb}"
     fn wal_record_is_on_disk_before_the_generation_publishes() {
         use std::sync::atomic::{AtomicU64, Ordering};
         let dir = scratch("ordering");
-        let store = GraphStore::open_durable_with(
-            &dir,
-            emp_schema(),
-            emp_graph(),
-            [],
-            durable_opts(true, 0),
-        )
-        .unwrap();
+        let store = open_durable(&dir, durable_opts(true, 0)).unwrap();
         let wal_file = wal_segment_files(&dir).unwrap().pop().unwrap();
         let observed = Arc::new(AtomicU64::new(u64::MAX));
         {
@@ -2311,15 +2019,13 @@ vs\n{tb}"
     // ------------------------------------------------ fault injection
 
     fn open_faulted(dir: &Path, vfs: &FaultVfs) -> GraphStore {
-        GraphStore::open_durable_with_vfs(
-            dir,
-            emp_schema(),
-            emp_graph(),
-            [],
-            durable_opts(true, 0),
-            Arc::new(vfs.clone()),
-        )
-        .unwrap()
+        GraphStore::builder(emp_schema())
+            .durable(dir)
+            .bootstrap(emp_graph())
+            .durability(durable_opts(true, 0))
+            .vfs(Arc::new(vfs.clone()))
+            .open()
+            .unwrap()
     }
 
     #[test]
@@ -2343,7 +2049,7 @@ vs\n{tb}"
         store.commit(d).unwrap();
         assert_eq!(store.generation(), gen_before + 1);
         drop(store);
-        let recovered = GraphStore::open_durable(&dir, emp_schema()).unwrap();
+        let recovered = reopen(&dir).unwrap();
         assert_eq!(recovered.generation(), gen_before + 1);
         assert_matches_cold_freeze(&recovered);
     }
@@ -2352,19 +2058,13 @@ vs\n{tb}"
     fn transient_write_failures_are_retried_away() {
         let dir = scratch("retry");
         let vfs = FaultVfs::default();
-        let store = GraphStore::open_durable_with_vfs(
-            &dir,
-            emp_schema(),
-            emp_graph(),
-            [],
-            DurabilityOptions {
-                wal_retry_attempts: 2,
-                wal_retry_backoff_ms: 0,
-                ..durable_opts(true, 0)
-            },
-            Arc::new(vfs.clone()),
-        )
-        .unwrap();
+        let store = GraphStore::builder(emp_schema())
+            .durable(&dir)
+            .bootstrap(emp_graph())
+            .durability(DurabilityOptions { wal_retry_attempts: 2, ..durable_opts(true, 0) })
+            .vfs(Arc::new(vfs.clone()))
+            .open()
+            .unwrap();
         vfs.fail_nth(vfs.ops() + 1); // one transient write failure
         store.commit(scripted_deltas().remove(0)).unwrap();
         let stats = store.stats();
@@ -2411,9 +2111,51 @@ vs\n{tb}"
         store.commit(d2).unwrap();
         assert_eq!(store.generation(), 2);
         drop(store);
-        let recovered = GraphStore::open_durable(&dir, emp_schema()).unwrap();
+        let recovered = reopen(&dir).unwrap();
         assert_eq!(recovered.generation(), 2);
         assert_matches_cold_freeze(&recovered);
+    }
+
+    #[test]
+    fn a_failed_group_fsync_fences_with_memory_intact_and_checkpoint_now_recovers() {
+        let dir = scratch("group-fence");
+        let vfs = FaultVfs::default();
+        let store = open_faulted(&dir, &vfs);
+        store.commit(scripted_deltas().remove(0)).unwrap();
+        let snap = store.snapshot();
+        let directories = (store.node_directory(), store.edge_directory());
+        let group: Vec<Delta> = scripted_deltas()[1..4].to_vec();
+        vfs.fail_from(vfs.ops() + 1);
+        vfs.exempt(&[OpClass::Read, OpClass::Write, OpClass::SetLen, OpClass::Meta]);
+        for result in store.commit_group(group.clone()) {
+            assert!(
+                result.unwrap_err().is_fenced(),
+                "the shared fsync failed: every member fences"
+            );
+        }
+        assert!(store.is_fenced());
+        // Nothing was applied: memory is exactly the pre-group state.
+        assert!(Arc::ptr_eq(&snap, &store.snapshot()));
+        assert_eq!(store.generation(), 1);
+        assert_eq!((store.node_directory(), store.edge_directory()), directories);
+        let stats = store.stats();
+        assert_eq!((stats.commits, stats.wal_records, stats.fenced_commits), (1, 1, 0));
+        // The group's records were truncated away: a reopen of the fenced
+        // directory recovers the pre-group state.
+        let copy = scratch("group-fence-copy");
+        copy_dir(&dir, &copy);
+        assert_stores_equal(&reopen(&copy).unwrap(), &oracle_after(1));
+        // The disk heals: checkpoint_now lifts the fence in place and the
+        // same group commits.
+        vfs.clear();
+        assert_eq!(store.checkpoint_now().unwrap(), 1);
+        assert!(!store.is_fenced());
+        let generations: Vec<u64> =
+            store.commit_group(group).into_iter().map(|r| r.unwrap().generation).collect();
+        assert_eq!(generations, vec![2, 3, 4]);
+        assert_stores_equal(&store, &oracle_after(4));
+        drop(store);
+        assert_stores_equal(&reopen(&dir).unwrap(), &oracle_after(4));
     }
 
     #[test]
@@ -2480,7 +2222,7 @@ vs\n{tb}"
             assert_eq!(tmps, 0, "tmp files are swept by the next checkpoint");
             drop(store);
             // Whatever step failed, recovery lands on the committed state.
-            let recovered = GraphStore::open_durable(&dir, emp_schema()).unwrap();
+            let recovered = reopen(&dir).unwrap();
             assert_eq!(recovered.generation(), 2);
             assert_stores_equal(&recovered, &oracle_after(2));
             std::fs::remove_dir_all(&dir).ok();
@@ -2491,14 +2233,7 @@ vs\n{tb}"
     fn corrupt_wal_head_without_a_checkpoint_is_a_typed_error() {
         let dir = scratch("corrupt-head");
         {
-            let store = GraphStore::open_durable_with(
-                &dir,
-                emp_schema(),
-                emp_graph(),
-                [],
-                durable_opts(true, 0),
-            )
-            .unwrap();
+            let store = open_durable(&dir, durable_opts(true, 0)).unwrap();
             store.commit(scripted_deltas().remove(0)).unwrap();
         }
         for p in checkpoint_files(&dir).unwrap() {
@@ -2508,7 +2243,7 @@ vs\n{tb}"
         let mut bytes = std::fs::read(&wal_file).unwrap();
         bytes[4] ^= 0xFF; // break the head record's checksum
         std::fs::write(&wal_file, &bytes).unwrap();
-        let err = GraphStore::open_durable(&dir, emp_schema()).unwrap_err();
+        let err = reopen(&dir).unwrap_err();
         match err {
             StoreError::Corrupt { file, detail } => {
                 assert_eq!(file, wal_file, "the error names the offending file");
@@ -2522,14 +2257,7 @@ vs\n{tb}"
     fn no_valid_checkpoint_and_no_wal_records_is_a_typed_error() {
         let dir = scratch("all-corrupt");
         {
-            let _store = GraphStore::open_durable_with(
-                &dir,
-                emp_schema(),
-                emp_graph(),
-                [],
-                durable_opts(true, 0),
-            )
-            .unwrap();
+            let _store = open_durable(&dir, durable_opts(true, 0)).unwrap();
         }
         let ckpt = checkpoint_files(&dir).unwrap().pop().unwrap();
         let mut bytes = std::fs::read(&ckpt).unwrap();
@@ -2538,7 +2266,7 @@ vs\n{tb}"
         std::fs::write(&ckpt, &bytes).unwrap();
         // The WAL segment exists but is empty: nothing can rebuild the
         // bootstrap graph, and starting empty would silently drop it.
-        let err = GraphStore::open_durable(&dir, emp_schema()).unwrap_err();
+        let err = reopen(&dir).unwrap_err();
         match err {
             StoreError::Corrupt { file, .. } => assert_eq!(file, ckpt),
             other => panic!("expected Corrupt, got: {other}"),
@@ -2549,14 +2277,7 @@ vs\n{tb}"
     fn recovery_without_a_checkpoint_rejects_a_gapped_wal() {
         let dir = scratch("gap");
         {
-            let store = GraphStore::open_durable_with(
-                &dir,
-                emp_schema(),
-                emp_graph(),
-                [],
-                durable_opts(true, 0),
-            )
-            .unwrap();
+            let store = open_durable(&dir, durable_opts(true, 0)).unwrap();
             for d in scripted_deltas().into_iter().take(2) {
                 store.commit(d).unwrap();
             }
@@ -2566,7 +2287,7 @@ vs\n{tb}"
         for p in checkpoint_files(&dir).unwrap() {
             std::fs::remove_file(p).unwrap();
         }
-        let err = GraphStore::open_durable(&dir, emp_schema()).unwrap_err();
+        let err = reopen(&dir).unwrap_err();
         match err {
             StoreError::Corrupt { detail, .. } => {
                 assert!(detail.contains("gap"), "unexpected detail: {detail}");
@@ -2697,6 +2418,64 @@ vs\n{tb}"
     }
 
     #[test]
+    fn a_token_repeated_inside_one_group_is_applied_once() {
+        let dir = scratch("group-token");
+        let store = open_durable(&dir, durable_opts(true, 0)).unwrap();
+        let mut d = Delta::new();
+        d.add_node("EMP", [("id", Value::Int(3)), ("name", Value::str("C"))]);
+        // A retry queued behind its own original lands in the same group.
+        let r = store.commit_group_tagged(vec![(d.clone(), Some(9)), (d.clone(), Some(9))]);
+        let (original, retry) = (r[0].as_ref().unwrap(), r[1].as_ref().unwrap());
+        assert_eq!((original.generation, retry.generation), (1, 1));
+        assert_eq!(original.node_keys.len(), 1);
+        assert!(retry.node_keys.is_empty() && retry.touched_tables.is_empty());
+        let stats = store.stats();
+        assert_eq!((stats.generation, stats.commits, stats.rejected_commits), (1, 1, 0));
+        assert_eq!((stats.idempotent_replays, stats.wal_records), (1, 1));
+        // The token is recorded once, for the original's generation.
+        assert_eq!(store.commit_tagged(d, Some(9)).unwrap().generation, 1);
+        assert_matches_cold_freeze(&store);
+        drop(store);
+        assert_eq!(reopen(&dir).unwrap().stats().replayed_commits, 1);
+    }
+
+    #[test]
+    fn group_members_stage_effects_for_later_members_exactly_like_serial_commits() {
+        // emp_graph() assigns keys 0..=5, so member 1's node receives 6.
+        let predicted = NodeKey(6);
+        let mut m1 = Delta::new();
+        m1.add_node("EMP", [("id", Value::Int(3)), ("name", Value::str("C"))]);
+        // Member 2 patches, then removes, the node member 1 adds.
+        let mut m2 = Delta::new();
+        m2.set_node_prop(predicted, "name", Value::str("C2"));
+        m2.set_node_prop(predicted, "id", Value::Int(30));
+        m2.remove_node(predicted);
+        // Member 3 stages a node, then an edge to the removed node: it is
+        // rejected, and its staged node and key go with it.
+        let mut m3 = Delta::new();
+        m3.add_node("EMP", [("id", Value::Int(40)), ("name", Value::str("x"))]);
+        m3.add_edge("WORK_AT", predicted, NodeKey(2), [("wid", Value::Int(20))]);
+        // Member 4 reuses the default key and the stable key member 3
+        // dropped.
+        let mut m4 = Delta::new();
+        let n = m4.add_node("EMP", [("id", Value::Int(40)), ("name", Value::str("y"))]);
+        m4.add_edge("WORK_AT", n, NodeKey(2), [("wid", Value::Int(20))]);
+        let members = vec![m1, m2, m3, m4];
+        let grouped = GraphStore::open(emp_schema(), emp_graph()).unwrap();
+        let serial = GraphStore::open(emp_schema(), emp_graph()).unwrap();
+        let group_results = grouped.commit_group(members.clone());
+        assert!(matches!(group_results[2], Err(StoreError::Rejected(_))));
+        assert_eq!(group_results[3].as_ref().unwrap().node_keys, vec![NodeKey(7)]);
+        for (i, (g, d)) in group_results.iter().zip(members).enumerate() {
+            assert_same_outcome(g, &serial.commit(d), &format!("member {i}"));
+        }
+        assert_stores_equal(&grouped, &serial);
+        assert_eq!(grouped.node_directory(), serial.node_directory());
+        assert_eq!(grouped.edge_directory(), serial.edge_directory());
+        assert_matches_cold_freeze(&serial);
+    }
+
+    #[test]
     fn idempotency_survives_crash_recovery_via_wal_and_checkpoint() {
         let dir = scratch("idem");
         let token = 0x1234_5678_u128;
@@ -2755,5 +2534,303 @@ vs\n{tb}"
         assert_eq!(entries.len(), IDEMPOTENCY_RETENTION);
         let rebuilt = IdempotencyTable::from_entries(entries);
         assert_eq!(rebuilt.lookup(10), Some(11));
+    }
+
+    // ------------------------------------------ reference solo commit
+
+    /// The store's former solo commit path, kept as a test-only
+    /// reference for [`GraphStore::commit_tagged`], which is now a group
+    /// of one: validate, append and fsync this one record, apply,
+    /// derive the images from this commit's own table deltas, publish.
+    fn reference_commit_tagged(
+        store: &GraphStore,
+        delta: Delta,
+        token: Option<u128>,
+    ) -> StoreResult<CommitInfo> {
+        let commit_started = Instant::now();
+        let mut st = store.state.lock().unwrap_or_else(|p| p.into_inner());
+        if let Some(reason) = st.fence.as_ref().map(|f| f.reason.clone()) {
+            st.fenced_commits.inc();
+            return Err(StoreError::Fenced { reason });
+        }
+        if let Some(t) = token {
+            if let Some(generation) = st.idempotency.lookup(t) {
+                st.idempotent_replays.inc();
+                return Ok(CommitInfo {
+                    generation,
+                    published_generation: st.generation,
+                    snapshot: Arc::clone(&st.published_snapshot),
+                    node_keys: Vec::new(),
+                    edge_keys: Vec::new(),
+                    touched_tables: Vec::new(),
+                });
+            }
+        }
+        if delta.is_empty() {
+            if let Some(t) = token {
+                let generation = st.generation;
+                st.idempotency.record(t, generation);
+            }
+            return Ok(CommitInfo {
+                generation: st.generation,
+                published_generation: st.generation,
+                snapshot: Arc::clone(&st.published_snapshot),
+                node_keys: Vec::new(),
+                edge_keys: Vec::new(),
+                touched_tables: Vec::new(),
+            });
+        }
+        if let Err(e) = Staging::new(&st).stage(&st, &delta) {
+            st.rejected.inc();
+            return Err(StoreError::Rejected(e));
+        }
+        let next_generation = st.generation + 1;
+        if st.durable.is_some() {
+            let outcome = {
+                let d = st.durable.as_mut().expect("durable checked above");
+                match wal_append_with_retry(d, next_generation, token, &delta) {
+                    WalOutcome::Appended { bytes } if d.options.fsync_each_commit => {
+                        let sync_started = Instant::now();
+                        let sync = d.wal.sync();
+                        d.wal_fsync_micros.record(sync_started.elapsed().as_micros() as u64);
+                        match sync {
+                            Ok(()) => WalOutcome::Appended { bytes },
+                            Err(e) => {
+                                let target = d.wal.len().saturating_sub(bytes);
+                                let _ = d.wal.truncate_to(target);
+                                WalOutcome::MustFence(e)
+                            }
+                        }
+                    }
+                    outcome => outcome,
+                }
+            };
+            match outcome {
+                WalOutcome::Appended { bytes } => {
+                    let d = st.durable.as_mut().expect("durable checked above");
+                    d.wal_records.inc();
+                    d.wal_bytes.add(bytes);
+                }
+                WalOutcome::Aborted(e) => return Err(e),
+                WalOutcome::MustFence(e) => {
+                    let reason = format!("wal failure with uncertain on-disk state: {e}");
+                    engage_fence(&mut st, reason.clone(), true);
+                    return Err(StoreError::Fenced { reason });
+                }
+            }
+        }
+        let applied = match apply_delta(&mut st, &delta) {
+            Ok(a) => a,
+            Err(e) => {
+                let msg = format!("commit apply phase failed mid-mutation: {e}");
+                engage_fence(&mut st, msg.clone(), false);
+                return Err(StoreError::Internal(msg));
+            }
+        };
+        let prev = Arc::clone(&st.published_snapshot);
+        let mut induced = prev.induced().clone();
+        let mut columnar = prev.induced_columnar().clone();
+        let mut touched: Vec<String> = Vec::with_capacity(applied.deltas.len());
+        for (name, table_delta) in &applied.deltas {
+            let (row_base, col_base) = match (induced.table(name), columnar.table(name)) {
+                (Some(r), Some(c)) => (r, c),
+                _ => {
+                    let msg = format!("generation lost table `{name}` mid-publish");
+                    engage_fence(&mut st, msg.clone(), false);
+                    return Err(StoreError::Internal(msg));
+                }
+            };
+            let row_image = row_base.apply_delta(table_delta);
+            let col_image = col_base.apply_delta(table_delta);
+            induced.insert_table(name.clone(), row_image);
+            columnar.insert_table(name.clone(), col_image);
+            touched.push(name.clone());
+        }
+        for name in applied.deltas.keys() {
+            if let Some(t) = st.tables.get_mut(name) {
+                if t.compact(false) {
+                    st.compactions.inc();
+                }
+            }
+        }
+        let (extra, extra_columnar) = prev.extra_parts();
+        let graph = publish_graph(&mut st, applied.replay);
+        let snapshot = Snapshot::from_parts_with_columnar(
+            prev.schema_arc(),
+            graph,
+            prev.ctx_arc(),
+            induced,
+            columnar,
+            extra,
+            extra_columnar,
+        );
+        st.published_snapshot = Arc::clone(&snapshot);
+        store.engine.swap_snapshot(Arc::clone(&snapshot));
+        st.generation += 1;
+        st.commits.inc();
+        if let Some(t) = token {
+            let generation = st.generation;
+            st.idempotency.record(t, generation);
+        }
+        let due = st.durable.as_ref().is_some_and(|d| {
+            d.options.checkpoint_interval > 0
+                && st.generation - d.last_checkpoint >= d.options.checkpoint_interval
+        });
+        if due && write_checkpoint_locked(&mut st).is_err() {
+            if let Some(d) = st.durable.as_mut() {
+                d.checkpoint_failures.inc();
+            }
+        }
+        store.commit_e2e_micros.record(commit_started.elapsed().as_micros() as u64);
+        Ok(CommitInfo {
+            generation: st.generation,
+            published_generation: st.generation,
+            snapshot,
+            node_keys: applied.node_keys,
+            edge_keys: applied.edge_keys,
+            touched_tables: touched,
+        })
+    }
+
+    /// One commit's outcome must match: generation, assigned keys,
+    /// touched tables, or the exact error.
+    fn assert_same_outcome(
+        got: &StoreResult<CommitInfo>,
+        want: &StoreResult<CommitInfo>,
+        context: &str,
+    ) {
+        match (got, want) {
+            (Ok(a), Ok(b)) => assert_eq!(
+                (a.generation, &a.node_keys, &a.edge_keys, &a.touched_tables),
+                (b.generation, &b.node_keys, &b.edge_keys, &b.touched_tables),
+                "{context}"
+            ),
+            (Err(a), Err(b)) => assert_eq!(a, b, "{context}"),
+            _ => panic!("{context}: {got:?} vs {want:?}"),
+        }
+    }
+
+    /// Every file of a store directory, by name, with its bytes.
+    fn dir_bytes(dir: &Path) -> Vec<(String, Vec<u8>)> {
+        let mut files: Vec<(String, Vec<u8>)> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| {
+                let e = e.unwrap();
+                (e.file_name().to_string_lossy().into_owned(), std::fs::read(e.path()).unwrap())
+            })
+            .collect();
+        files.sort();
+        files
+    }
+
+    /// One random script step over `emp_schema()`: empty, valid and
+    /// invalid deltas (small key spaces collide; removals may strand
+    /// edges; references may be stale), a third of them tokened from a
+    /// small token space so retries replay.
+    fn random_commit(rng: &mut StdRng, store: &GraphStore) -> (Delta, Option<u128>) {
+        let token = rng.gen_bool(0.3).then(|| rng.gen_range(0..6u64) as u128);
+        let mut d = Delta::new();
+        if rng.gen_bool(0.1) {
+            return (d, token);
+        }
+        let nodes = store.node_directory();
+        let edges = store.edge_directory();
+        let mut emps: Vec<NodeRef> = Vec::new();
+        let mut depts: Vec<NodeRef> = Vec::new();
+        for (k, label, _) in &nodes {
+            match label.as_str() {
+                "EMP" => emps.push(NodeRef::Key(*k)),
+                _ => depts.push(NodeRef::Key(*k)),
+            }
+        }
+        let small = |rng: &mut StdRng| Value::Int(rng.gen_range(0..12i64));
+        for _ in 0..rng.gen_range(1..=4usize) {
+            match rng.gen_range(0..8u32) {
+                0 => {
+                    let id = small(rng);
+                    emps.push(d.add_node("EMP", [("id", id), ("name", Value::str("e"))]));
+                }
+                1 => {
+                    let dnum = small(rng);
+                    depts.push(d.add_node("DEPT", [("dnum", dnum), ("dname", Value::str("d"))]));
+                }
+                2 if !emps.is_empty() && !depts.is_empty() => {
+                    let src = emps[rng.gen_range(0..emps.len())];
+                    let tgt = depts[rng.gen_range(0..depts.len())];
+                    d.add_edge("WORK_AT", src, tgt, [("wid", small(rng))]);
+                }
+                3 if !edges.is_empty() => {
+                    d.remove_edge(edges[rng.gen_range(0..edges.len())].0);
+                }
+                4 if !nodes.is_empty() => {
+                    d.remove_node(nodes[rng.gen_range(0..nodes.len())].0);
+                }
+                5 if !nodes.is_empty() => {
+                    let (k, label, _) = &nodes[rng.gen_range(0..nodes.len())];
+                    let keys: [&str; 2] =
+                        if label.as_str() == "EMP" { ["id", "name"] } else { ["dnum", "dname"] };
+                    let value = if rng.gen_bool(0.1) { Value::Null } else { small(rng) };
+                    d.set_node_prop(*k, keys[rng.gen_range(0..2usize)], value);
+                }
+                6 if !edges.is_empty() => {
+                    d.set_edge_prop(edges[rng.gen_range(0..edges.len())].0, "wid", small(rng));
+                }
+                _ => {
+                    d.remove_node(NodeKey(1_000_000));
+                }
+            }
+        }
+        (d, token)
+    }
+
+    /// `PROPTEST_CASES`-honoring case count.
+    fn cases(default_cases: u32) -> u32 {
+        std::env::var("PROPTEST_CASES").ok().and_then(|v| v.parse().ok()).unwrap_or(default_cases)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: cases(32) })]
+
+        /// `commit_tagged` (a group of one) is identical to the retired
+        /// solo path: every result, the published images, the key
+        /// directories, the counters and every byte on disk.
+        #[test]
+        fn commit_tagged_matches_the_reference_solo_path(seed in any::<u64>()) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let options = DurabilityOptions {
+                fsync_each_commit: rng.gen_bool(0.5),
+                checkpoint_interval: [0, 2, 3, 5][rng.gen_range(0..4usize)],
+                ..durable_opts(true, 0)
+            };
+            let (new_dir, ref_dir) = (scratch("solo-new"), scratch("solo-ref"));
+            let new = open_durable(&new_dir, options).unwrap();
+            let reference = open_durable(&ref_dir, options).unwrap();
+            for step in 0..rng.gen_range(12..=32usize) {
+                let (delta, token) = random_commit(&mut rng, &reference);
+                let want = reference_commit_tagged(&reference, delta.clone(), token);
+                let got = new.commit_tagged(delta, token);
+                assert_same_outcome(&got, &want, &format!("step {step}"));
+                if let (Ok(a), Ok(b)) = (&got, &want) {
+                    prop_assert_eq!(a.published_generation, b.published_generation);
+                }
+            }
+            let (a, b) = (new.snapshot(), reference.snapshot());
+            prop_assert_eq!(a.induced(), b.induced());
+            let (ca, cb) = (
+                a.sql_columnar(&SqlTarget::Induced).unwrap(),
+                b.sql_columnar(&SqlTarget::Induced).unwrap(),
+            );
+            for (name, table) in b.induced().tables() {
+                prop_assert_eq!(&ca.table(name).unwrap().to_table(), table);
+                prop_assert_eq!(&cb.table(name).unwrap().to_table(), table);
+            }
+            prop_assert_eq!(new.node_directory(), reference.node_directory());
+            prop_assert_eq!(new.edge_directory(), reference.edge_directory());
+            prop_assert_eq!(new.stats(), reference.stats());
+            prop_assert!(dir_bytes(&new_dir) == dir_bytes(&ref_dir), "store directories differ");
+            drop((new, reference));
+            std::fs::remove_dir_all(&new_dir).ok();
+            std::fs::remove_dir_all(&ref_dir).ok();
+        }
     }
 }

@@ -62,29 +62,16 @@ fn replay(g: &mut GraphInstance, ops: &[ResolvedOp]) -> Result<()> {
 /// opened): clone the master graph.  Readers are unaffected either way;
 /// this only decides how the new immutable buffer is produced.
 pub(crate) fn publish_graph(st: &mut StoreState, ops: Vec<ResolvedOp>) -> Arc<GraphInstance> {
-    let next_gen = st.generation + 1;
-    publish_graph_at(st, next_gen, ops)
-}
-
-/// [`publish_graph`] with the published generation passed explicitly: a
-/// group commit advances `st.generation` per member *before* its single
-/// end-of-group publication, so "the generation being published" is no
-/// longer `st.generation + 1` there.
-pub(crate) fn publish_graph_at(
-    st: &mut StoreState,
-    gen: u64,
-    ops: Vec<ResolvedOp>,
-) -> Arc<GraphInstance> {
-    st.backlog.push_back((gen, ops));
+    st.backlog.push_back(ops);
     while st.backlog.len() > 2 {
         st.backlog.pop_front();
     }
     let reclaimed = st.retiring_graph.take().and_then(|arc| Arc::try_unwrap(arc).ok());
     let new_graph = match reclaimed {
         Some(mut g) => {
-            // The buffer holds generation `next_gen - backlog.len()`;
-            // replay every backlog entry to reach the master state.
-            let ok = st.backlog.iter().all(|(_, ops)| replay(&mut g, ops).is_ok());
+            // The buffer holds the state `backlog.len()` publications
+            // back; replay every backlog entry to reach the master state.
+            let ok = st.backlog.iter().all(|ops| replay(&mut g, ops).is_ok());
             if ok && g.node_count() == st.graph.node_count() {
                 debug_assert!(g == st.graph, "replayed buffer must equal the master graph");
                 st.graph_reclaims.inc();

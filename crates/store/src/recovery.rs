@@ -16,8 +16,7 @@ use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 
 impl GraphStore {
-    /// The one durable open/recover path behind both the builder and
-    /// the deprecated ladder.
+    /// The durable open/recover path behind [`StoreBuilder::durable`](crate::StoreBuilder::durable).
     pub(crate) fn durable_open_impl(
         dir: PathBuf,
         schema: GraphSchema,

@@ -236,7 +236,8 @@ impl Graphiti {
                     Some(d) => match ticket.wait_deadline(d) {
                         Ok(result) => Ok(Ok(ack(result?))),
                         Err(_abandoned) => Err(ApiError::DeadlineExceeded(
-                            "deadline expired while the commit was queued; the write may still                              land — retry with the same idempotency token"
+                            "deadline expired while the commit was queued; the write may still \
+                             land — retry with the same idempotency token"
                                 .into(),
                         )),
                     },
@@ -244,18 +245,13 @@ impl Graphiti {
                 },
                 Err(delta) => Ok(Err(delta)),
             },
-            // Solo path: the store's mutex is the only queue.  The lock
-            // is not abandonable, so the deadline is checked by the
+            // No committer: the store's mutex is the only queue.  The
+            // lock is not abandonable, so the deadline is checked by the
             // caller before entering; a token still dedupes retries.
-            // The traced group path handles its own spans; the solo path
-            // commits through the group entry point so a traced solo
-            // commit still emits WAL/publish spans.
-            None if trace != 0 => {
+            None => {
                 let mut results = self.store.commit_group_traced(vec![(delta, token, trace)]);
-                let info = results.pop().expect("one member yields one result")?;
-                Ok(Ok(ack(info)))
+                Ok(Ok(ack(results.pop().expect("one member yields one result")?)))
             }
-            None => Ok(Ok(ack(self.store.commit_tagged(delta, token)?))),
         }
     }
 

@@ -1,12 +1,14 @@
-//! Phase 1 of a commit: incremental, sequential validation of a delta
-//! against the master state.  Pure — nothing is mutated.
+//! Phase 1 of a commit: incremental, sequential validation of a commit
+//! group's members against the master state.  Pure — the store state is
+//! never mutated; effects accumulate in a caller-owned [`Staging`].
 
 use crate::{Delta, EdgeKey, EdgeRef, Mutation, NodeKey, NodeRef, StoreState};
 use graphiti_common::{Error, Ident, Result, Value};
 use std::collections::{BTreeMap, HashMap, HashSet};
+use std::ops::Range;
 
 /// An endpoint resolved during validation: an existing node or the `i`-th
-/// node staged by this delta.
+/// node staged by the group (a group-wide index).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Endpoint {
     Existing(NodeKey),
@@ -20,14 +22,14 @@ enum EdgeSlot {
     New(usize),
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct StagedNode {
     label: Ident,
     props: BTreeMap<Ident, Value>,
     alive: bool,
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct StagedEdge {
     label: Ident,
     src: Endpoint,
@@ -36,10 +38,17 @@ struct StagedEdge {
     alive: bool,
 }
 
-/// Sequential validation state: the master store plus the staged effects
-/// of the delta's earlier operations.
-struct Check<'a> {
-    st: &'a StoreState,
+/// The staged effects of a commit group on top of the master state: every
+/// accepted member so far, plus the current member's earlier operations.
+/// It grows only with the group's own operations, so a caller snapshots
+/// it (`clone`) before a member and restores the snapshot when that
+/// member is rejected or its WAL append aborts.
+#[derive(Debug, Clone)]
+pub(crate) struct Staging {
+    /// The stable key the next staged addition receives: the key
+    /// `apply_delta` assigns when the accepted members are applied in
+    /// order.
+    next_key: u64,
     new_nodes: Vec<StagedNode>,
     new_edges: Vec<StagedEdge>,
     removed_nodes: HashSet<NodeKey>,
@@ -50,40 +59,70 @@ struct Check<'a> {
     /// and claimed (additions, re-keys) by earlier operations.
     freed: HashSet<(Ident, Value)>,
     claimed: HashSet<(Ident, Value)>,
+    /// Predicted keys of the nodes and edges earlier members staged, by
+    /// staged index: a later member addresses them by key.
+    node_keys: HashMap<NodeKey, usize>,
+    edge_keys: HashMap<EdgeKey, usize>,
 }
 
-impl<'a> Check<'a> {
+/// Validation of one member: the master store, the group's staging, and
+/// where this member's own additions start in it.
+struct Check<'a> {
+    st: &'a StoreState,
+    s: &'a mut Staging,
+    /// The member's `NodeRef::New(i)` is staged node `first_node + i`.
+    first_node: usize,
+    first_edge: usize,
+}
+
+impl Check<'_> {
     fn resolve_node(&self, r: &NodeRef) -> Result<Endpoint> {
         match r {
-            NodeRef::Key(k) => {
-                if self.removed_nodes.contains(k) || !self.st.node_ids.contains_key(k) {
-                    return Err(Error::instance(format!("unknown or removed node {k}")));
+            NodeRef::Key(k) => match self.s.node_keys.get(k) {
+                // Only earlier members' additions are addressable by key,
+                // exactly as if they had been committed before this one.
+                Some(&i) if i < self.first_node => self
+                    .staged_node(i)
+                    .ok_or_else(|| Error::instance(format!("unknown or removed node {k}"))),
+                _ => {
+                    if self.s.removed_nodes.contains(k) || !self.st.node_ids.contains_key(k) {
+                        return Err(Error::instance(format!("unknown or removed node {k}")));
+                    }
+                    Ok(Endpoint::Existing(*k))
                 }
-                Ok(Endpoint::Existing(*k))
-            }
-            NodeRef::New(i) => match self.new_nodes.get(*i) {
-                Some(n) if n.alive => Ok(Endpoint::New(*i)),
-                _ => Err(Error::instance(format!("unknown or removed staged node #{i}"))),
             },
+            NodeRef::New(i) => self
+                .first_node
+                .checked_add(*i)
+                .and_then(|j| self.staged_node(j))
+                .ok_or_else(|| Error::instance(format!("unknown or removed staged node #{i}"))),
         }
+    }
+
+    fn staged_node(&self, i: usize) -> Option<Endpoint> {
+        self.s.new_nodes.get(i).filter(|n| n.alive).map(|_| Endpoint::New(i))
+    }
+
+    fn staged_edge(&self, i: usize) -> Option<EdgeSlot> {
+        self.s.new_edges.get(i).filter(|e| e.alive).map(|_| EdgeSlot::New(i))
     }
 
     fn node_label(&self, ep: Endpoint) -> &Ident {
         match ep {
             Endpoint::Existing(k) => &self.st.graph.nodes()[self.st.node_ids[&k].0].label,
-            Endpoint::New(i) => &self.new_nodes[i].label,
+            Endpoint::New(i) => &self.s.new_nodes[i].label,
         }
     }
 
     fn node_prop(&self, ep: Endpoint, key: &Ident) -> Value {
         match ep {
             Endpoint::Existing(k) => {
-                if let Some(v) = self.node_overrides.get(&(k, key.clone())) {
+                if let Some(v) = self.s.node_overrides.get(&(k, key.clone())) {
                     return v.clone();
                 }
                 self.st.graph.nodes()[self.st.node_ids[&k].0].prop(key.as_str())
             }
-            Endpoint::New(i) => self.new_nodes[i].props.get(key).cloned().unwrap_or(Value::Null),
+            Endpoint::New(i) => self.s.new_nodes[i].props.get(key).cloned().unwrap_or(Value::Null),
         }
     }
 
@@ -91,40 +130,46 @@ impl<'a> Check<'a> {
     /// an existing edge.
     fn resolve_edge(&self, r: &EdgeRef) -> Result<EdgeSlot> {
         match r {
-            EdgeRef::Key(k) => {
-                if self.removed_edges.contains(k) || !self.st.edge_ids.contains_key(k) {
-                    return Err(Error::instance(format!("unknown or removed edge {k}")));
+            EdgeRef::Key(k) => match self.s.edge_keys.get(k) {
+                Some(&i) if i < self.first_edge => self
+                    .staged_edge(i)
+                    .ok_or_else(|| Error::instance(format!("unknown or removed edge {k}"))),
+                _ => {
+                    if self.s.removed_edges.contains(k) || !self.st.edge_ids.contains_key(k) {
+                        return Err(Error::instance(format!("unknown or removed edge {k}")));
+                    }
+                    Ok(EdgeSlot::Existing(*k))
                 }
-                Ok(EdgeSlot::Existing(*k))
-            }
-            EdgeRef::New(i) => match self.new_edges.get(*i) {
-                Some(e) if e.alive => Ok(EdgeSlot::New(*i)),
-                _ => Err(Error::instance(format!("unknown or removed staged edge #{i}"))),
             },
+            EdgeRef::New(i) => self
+                .first_edge
+                .checked_add(*i)
+                .and_then(|j| self.staged_edge(j))
+                .ok_or_else(|| Error::instance(format!("unknown or removed staged edge #{i}"))),
         }
     }
 
     fn edge_label(&self, slot: EdgeSlot) -> &Ident {
         match slot {
             EdgeSlot::Existing(k) => &self.st.graph.edges()[self.st.edge_ids[&k].0].label,
-            EdgeSlot::New(i) => &self.new_edges[i].label,
+            EdgeSlot::New(i) => &self.s.new_edges[i].label,
         }
     }
 
     fn edge_prop(&self, slot: EdgeSlot, key: &Ident) -> Value {
         match slot {
             EdgeSlot::Existing(k) => {
-                if let Some(v) = self.edge_overrides.get(&(k, key.clone())) {
+                if let Some(v) = self.s.edge_overrides.get(&(k, key.clone())) {
                     return v.clone();
                 }
                 self.st.graph.edges()[self.st.edge_ids[&k].0].prop(key.as_str())
             }
-            EdgeSlot::New(i) => self.new_edges[i].props.get(key).cloned().unwrap_or(Value::Null),
+            EdgeSlot::New(i) => self.s.new_edges[i].props.get(key).cloned().unwrap_or(Value::Null),
         }
     }
 
     /// Claims a default-key value for a label, enforcing uniqueness
-    /// against the master index and the delta's earlier operations.
+    /// against the master index and everything staged before it.
     ///
     /// A value is held iff (the master index holds it AND no earlier
     /// operation freed the master's copy) OR an earlier operation staged a
@@ -135,13 +180,13 @@ impl<'a> Check<'a> {
         let kv = (label.clone(), value.clone());
         let held_by_master =
             self.st.tables.get(label.as_str()).is_some_and(|t| t.contains_pk(value))
-                && !self.freed.contains(&kv);
-        if held_by_master || self.claimed.contains(&kv) {
+                && !self.s.freed.contains(&kv);
+        if held_by_master || self.s.claimed.contains(&kv) {
             return Err(Error::instance(format!(
                 "duplicate default-key value {value} for label `{label}`"
             )));
         }
-        self.claimed.insert(kv);
+        self.s.claimed.insert(kv);
         Ok(())
     }
 
@@ -149,8 +194,8 @@ impl<'a> Check<'a> {
     /// staged claim is cancelled, a master-held value is marked freed.
     fn free(&mut self, label: &Ident, value: &Value) {
         let kv = (label.clone(), value.clone());
-        if !self.claimed.remove(&kv) {
-            self.freed.insert(kv);
+        if !self.s.claimed.remove(&kv) {
+            self.s.freed.insert(kv);
         }
     }
 }
@@ -177,20 +222,39 @@ fn check_props(
     Ok(pk)
 }
 
-/// Phase 1: sequential incremental validation.  Pure — the store state is
-/// untouched regardless of outcome.
-pub(crate) fn validate_delta(st: &StoreState, delta: &Delta) -> Result<()> {
-    let mut c = Check {
-        st,
-        new_nodes: Vec::new(),
-        new_edges: Vec::new(),
-        removed_nodes: HashSet::new(),
-        removed_edges: HashSet::new(),
-        node_overrides: HashMap::new(),
-        edge_overrides: HashMap::new(),
-        freed: HashSet::new(),
-        claimed: HashSet::new(),
-    };
+impl Staging {
+    /// An empty staging over the master state: nothing staged yet.
+    pub(crate) fn new(st: &StoreState) -> Staging {
+        Staging {
+            next_key: st.next_key,
+            new_nodes: Vec::new(),
+            new_edges: Vec::new(),
+            removed_nodes: HashSet::new(),
+            removed_edges: HashSet::new(),
+            node_overrides: HashMap::new(),
+            edge_overrides: HashMap::new(),
+            freed: HashSet::new(),
+            claimed: HashSet::new(),
+            node_keys: HashMap::new(),
+            edge_keys: HashMap::new(),
+        }
+    }
+
+    /// Validates the next member of a group against the master state plus
+    /// everything staged so far, operation by operation, and stages its
+    /// effects.  Returns the stable keys `apply_delta` will assign to the
+    /// member's additions.  On error the staging is left part-updated:
+    /// the caller restores its snapshot.
+    pub(crate) fn stage(&mut self, st: &StoreState, delta: &Delta) -> Result<Range<u64>> {
+        let first_key = self.next_key;
+        let (first_node, first_edge) = (self.new_nodes.len(), self.new_edges.len());
+        validate_member(&mut Check { st, s: self, first_node, first_edge }, delta)?;
+        Ok(first_key..self.next_key)
+    }
+}
+
+fn validate_member(c: &mut Check<'_>, delta: &Delta) -> Result<()> {
+    let st = c.st;
     for op in delta.ops() {
         match op {
             Mutation::AddNode { label, props } => {
@@ -200,7 +264,9 @@ pub(crate) fn validate_delta(st: &StoreState, delta: &Delta) -> Result<()> {
                     .ok_or_else(|| Error::instance(format!("unknown node label `{label}`")))?;
                 let pk = check_props("node", label, &ty.keys, props)?;
                 c.claim(label, &pk)?;
-                c.new_nodes.push(StagedNode {
+                c.s.node_keys.insert(NodeKey(c.s.next_key), c.s.new_nodes.len());
+                c.s.next_key += 1;
+                c.s.new_nodes.push(StagedNode {
                     label: label.clone(),
                     props: props.iter().cloned().collect(),
                     alive: true,
@@ -224,7 +290,9 @@ pub(crate) fn validate_delta(st: &StoreState, delta: &Delta) -> Result<()> {
                 }
                 let pk = check_props("edge", label, &ty.keys, props)?;
                 c.claim(label, &pk)?;
-                c.new_edges.push(StagedEdge {
+                c.s.edge_keys.insert(EdgeKey(c.s.next_key), c.s.new_edges.len());
+                c.s.next_key += 1;
+                c.s.new_edges.push(StagedEdge {
                     label: label.clone(),
                     src,
                     tgt,
@@ -246,14 +314,14 @@ pub(crate) fn validate_delta(st: &StoreState, delta: &Delta) -> Result<()> {
                 c.free(&label, &pk);
                 match slot {
                     EdgeSlot::Existing(k) => {
-                        c.removed_edges.insert(k);
+                        c.s.removed_edges.insert(k);
                     }
-                    EdgeSlot::New(i) => c.new_edges[i].alive = false,
+                    EdgeSlot::New(i) => c.s.new_edges[i].alive = false,
                 }
             }
             Mutation::RemoveNode { node } => {
                 let ep = c.resolve_node(node)?;
-                // No incident edge may survive to this point of the delta.
+                // No incident edge may survive to this point of the group.
                 match ep {
                     Endpoint::Existing(k) => {
                         let id = st.node_ids[&k];
@@ -261,7 +329,7 @@ pub(crate) fn validate_delta(st: &StoreState, delta: &Delta) -> Result<()> {
                             .graph
                             .out_edges(id)
                             .chain(st.graph.in_edges(id))
-                            .any(|e| !c.removed_edges.contains(&st.edge_keys[e.id.0]));
+                            .any(|e| !c.s.removed_edges.contains(&st.edge_keys[e.id.0]));
                         if incident {
                             return Err(Error::instance(format!(
                                 "node {k} still has incident edges"
@@ -270,9 +338,9 @@ pub(crate) fn validate_delta(st: &StoreState, delta: &Delta) -> Result<()> {
                     }
                     Endpoint::New(_) => {}
                 }
-                if c.new_edges.iter().any(|e| e.alive && (e.src == ep || e.tgt == ep)) {
+                if c.s.new_edges.iter().any(|e| e.alive && (e.src == ep || e.tgt == ep)) {
                     return Err(Error::instance(
-                        "node still has incident edges staged by this delta",
+                        "node still has incident edges staged before its removal",
                     ));
                 }
                 let label = c.node_label(ep).clone();
@@ -286,9 +354,9 @@ pub(crate) fn validate_delta(st: &StoreState, delta: &Delta) -> Result<()> {
                 c.free(&label, &pk);
                 match ep {
                     Endpoint::Existing(k) => {
-                        c.removed_nodes.insert(k);
+                        c.s.removed_nodes.insert(k);
                     }
-                    Endpoint::New(i) => c.new_nodes[i].alive = false,
+                    Endpoint::New(i) => c.s.new_nodes[i].alive = false,
                 }
             }
             Mutation::SetNodeProp { node, key, value } => {
@@ -317,10 +385,10 @@ pub(crate) fn validate_delta(st: &StoreState, delta: &Delta) -> Result<()> {
                 }
                 match ep {
                     Endpoint::Existing(k) => {
-                        c.node_overrides.insert((k, key.clone()), value.clone());
+                        c.s.node_overrides.insert((k, key.clone()), value.clone());
                     }
                     Endpoint::New(i) => {
-                        c.new_nodes[i].props.insert(key.clone(), value.clone());
+                        c.s.new_nodes[i].props.insert(key.clone(), value.clone());
                     }
                 }
             }
@@ -350,10 +418,10 @@ pub(crate) fn validate_delta(st: &StoreState, delta: &Delta) -> Result<()> {
                 }
                 match slot {
                     EdgeSlot::Existing(k) => {
-                        c.edge_overrides.insert((k, key.clone()), value.clone());
+                        c.s.edge_overrides.insert((k, key.clone()), value.clone());
                     }
                     EdgeSlot::New(i) => {
-                        c.new_edges[i].props.insert(key.clone(), value.clone());
+                        c.s.new_edges[i].props.insert(key.clone(), value.clone());
                     }
                 }
             }

@@ -21,6 +21,12 @@
 //!   fault at every operation of the recovery path either succeeds
 //!   exactly or fails typed.
 //!
+//! The commit sweeps run twice: once committing the script one solo
+//! `commit` at a time, and once sending the same script through
+//! `commit_group` in random groups of 1–3, where a failure fences or
+//! aborts only its own group's members and the store must equal the
+//! serial oracle of exactly the members that succeeded.
+//!
 //! The sweep is exhaustive over call sites by construction — `FaultVfs`
 //! counts reads too, so recovery-path reads are coverable.  The per-push
 //! CI `chaos` job runs a modest case count; the nightly leg raises it
@@ -30,13 +36,15 @@ use graphiti_common::{Ident, Value};
 use graphiti_engine::{BatchQuery, SqlTarget};
 use graphiti_graph::{GraphInstance, GraphSchema};
 use graphiti_store::{
-    Delta, DurabilityOptions, EdgeKey, FaultKind, FaultVfs, GraphStore, NodeKey, NodeRef, OpClass,
+    CommitInfo, Delta, DurabilityOptions, EdgeKey, FaultKind, FaultVfs, GraphStore, NodeKey,
+    NodeRef, OpClass, StoreError,
 };
 use graphiti_testkit::{arb_instance, fixtures};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashSet;
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -266,18 +274,40 @@ fn scripted(
     deltas
 }
 
-/// An in-memory oracle at generation `prefix` of the script.
-fn oracle_at(
-    schema: &GraphSchema,
-    graph: &GraphInstance,
-    deltas: &[Delta],
-    prefix: usize,
-) -> GraphStore {
+/// An in-memory oracle that committed exactly `committed`, serially.
+fn oracle_of(schema: &GraphSchema, graph: &GraphInstance, committed: &[Delta]) -> GraphStore {
     let oracle = GraphStore::open(schema.clone(), graph.clone()).expect("valid instance");
-    for d in &deltas[..prefix] {
-        oracle.commit(d.clone()).expect("replaying a committed prefix");
+    for d in committed {
+        oracle.commit(d.clone()).expect("replaying the committed deltas");
     }
     oracle
+}
+
+/// How a script reaches the store: one solo `commit` per delta, or
+/// `commit_group` over random consecutive groups of 1–3 deltas.
+fn script_groups(rng: &mut StdRng, len: usize, grouped: bool) -> Vec<Range<usize>> {
+    let mut groups = Vec::new();
+    let mut start = 0;
+    while start < len {
+        let end = if grouped { (start + rng.gen_range(1..=3usize)).min(len) } else { start + 1 };
+        groups.push(start..end);
+        start = end;
+    }
+    groups
+}
+
+/// Commits one group of the script: through `commit_group`, or as
+/// solo commits (every solo group holds one delta).
+fn commit_one_group(
+    store: &GraphStore,
+    deltas: &[Delta],
+    grouped: bool,
+) -> Vec<Result<CommitInfo, StoreError>> {
+    if grouped {
+        store.commit_group(deltas.to_vec())
+    } else {
+        deltas.iter().map(|d| store.commit(d.clone())).collect()
+    }
 }
 
 fn chaos_opts(rng: &mut StdRng) -> DurabilityOptions {
@@ -303,89 +333,16 @@ proptest! {
         graph in arb_instance(&fixtures::emp::schema(), 3, 5),
         seed in any::<u64>(),
     ) {
-        let schema = fixtures::emp::schema();
-        let mut rng = StdRng::seed_from_u64(seed);
-        let opts = chaos_opts(&mut rng);
-        let commits = rng.gen_range(2..=4usize);
-        let deltas = scripted(&schema, &graph, &mut rng, commits);
+        sweep_every_io_failure_point(graph, seed, false);
+    }
 
-        // Probe run: count the operations a fault-free run performs.
-        let total_ops = {
-            let dir = scratch("probe");
-            let vfs = FaultVfs::default();
-            let store = open_durable_with_vfs(
-                &dir, schema.clone(), graph.clone(), opts, Arc::new(vfs.clone()),
-            ).expect("fault-free open");
-            for d in &deltas {
-                store.commit(d.clone()).expect("fault-free commit");
-            }
-            drop(store);
-            std::fs::remove_dir_all(&dir).ok();
-            vfs.ops()
-        };
-        prop_assert!(total_ops >= 5, "the probe must observe the script's I/O");
-
-        for k in 1..=total_ops {
-            let kind = if k % 2 == 0 { FaultKind::ShortWrite } else { FaultKind::Error };
-            let dir = scratch("sweep");
-            let vfs = FaultVfs::default();
-            vfs.fail_nth_kind(k, kind);
-            let opened = open_durable_with_vfs(
-                &dir, schema.clone(), graph.clone(), opts, Arc::new(vfs.clone()),
-            );
-            let mut committed = 0usize;
-            match opened {
-                Err(e) => {
-                    // A fault during bootstrap fails typed; the partial
-                    // directory must still be recoverable or typed-bad.
-                    prop_assert!(!e.is_rejected(), "bootstrap fault misclassified: {e}");
-                }
-                Ok(store) => {
-                    let mut failure: Option<graphiti_store::StoreError> = None;
-                    for d in &deltas {
-                        match store.commit(d.clone()) {
-                            Ok(_) => committed += 1,
-                            Err(e) => { failure = Some(e); break; }
-                        }
-                    }
-                    if let Some(e) = failure {
-                        prop_assert!(
-                            e.is_io() || e.is_fenced(),
-                            "an injected fault surfaced as `{e}` — only Io (rolled back) \
-                             or Fenced are legal for a valid delta"
-                        );
-                        // Side-effect-free or fenced: either way the
-                        // published state is exactly the committed prefix.
-                        prop_assert_eq!(store.is_fenced(), e.is_fenced());
-                        let oracle = oracle_at(&schema, &graph, &deltas, committed);
-                        assert_store_equals_oracle(&store, &oracle, &format!("after fault k={k}"));
-                        if e.is_fenced() {
-                            // Fenced: commits are refused, reads keep serving.
-                            let retry = store.commit(deltas[committed].clone());
-                            prop_assert!(retry.unwrap_err().is_fenced());
-                        } else {
-                            // Live: the same delta goes through on retry
-                            // (the one-shot fault is spent).
-                            store.commit(deltas[committed].clone()).expect("retry after Io");
-                            committed += 1;
-                        }
-                    }
-                    drop(store);
-                }
-            }
-            // Reopen on the real filesystem: recovery must land exactly
-            // on the acknowledged prefix — never a partial commit, never
-            // a lost acknowledged one.  (One-shot faults always roll the
-            // failed record back, so "exact" is the right bound.)
-            if committed > 0 || wal_or_checkpoint_exists(&dir) {
-                let recovered = open_durable_with(
-                    &dir, schema.clone(), GraphInstance::new(), opts,
-                ).expect("reopen after a contained fault must recover");
-                let oracle = oracle_at(&schema, &graph, &deltas, committed);
-                assert_store_equals_oracle(&recovered, &oracle, &format!("recovery k={k}"));
-            }
-            std::fs::remove_dir_all(&dir).ok();
-        }
+    /// The main sweep with the script sent through `commit_group`.
+    #[test]
+    fn every_io_failure_point_preserves_the_group_commit_contract(
+        graph in arb_instance(&fixtures::emp::schema(), 3, 5),
+        seed in any::<u64>(),
+    ) {
+        sweep_every_io_failure_point(graph, seed, true);
     }
 
     /// fsyncgate, property form: syncs start failing *and stay failing*
@@ -397,61 +354,17 @@ proptest! {
         graph in arb_instance(&fixtures::emp::schema(), 3, 5),
         seed in any::<u64>(),
     ) {
-        let schema = fixtures::emp::schema();
-        let mut rng = StdRng::seed_from_u64(seed);
-        let opts = chaos_opts(&mut rng);
-        let commits = rng.gen_range(2..=4usize);
-        let deltas = scripted(&schema, &graph, &mut rng, commits);
-        let dir = scratch("sticky");
-        let vfs = FaultVfs::default();
-        let store = open_durable_with_vfs(
-            &dir, schema.clone(), graph.clone(), opts, Arc::new(vfs.clone()),
-        ).expect("fault-free open");
-        let healthy = rng.gen_range(0..deltas.len());
-        for d in &deltas[..healthy] {
-            store.commit(d.clone()).expect("pre-fault commit");
-        }
-        // The disk stops syncing (but not writing) somewhere in the next
-        // commit — or a later one.
-        vfs.fail_from(vfs.ops() + rng.gen_range(1..=8u64));
-        vfs.exempt(&[OpClass::Read, OpClass::Write, OpClass::SetLen, OpClass::Meta]);
-        let mut committed = healthy;
-        let mut fenced = false;
-        for d in &deltas[healthy..] {
-            match store.commit(d.clone()) {
-                Ok(_) => committed += 1,
-                Err(e) => {
-                    prop_assert!(e.is_fenced(), "a sync failure must fence, got: {e}");
-                    fenced = true;
-                    break;
-                }
-            }
-        }
-        if fenced {
-            prop_assert!(store.is_fenced());
-            let oracle = oracle_at(&schema, &graph, &deltas, committed);
-            assert_store_equals_oracle(&store, &oracle, "fenced reads");
-            // The disk heals: checkpoint_now re-captures state on fresh
-            // files and lifts the fence; the interrupted script finishes.
-            vfs.clear();
-            store.checkpoint_now().expect("fence recovery");
-            prop_assert!(!store.is_fenced());
-            for d in &deltas[committed..] {
-                store.commit(d.clone()).expect("post-recovery commit");
-            }
-        }
-        let oracle = oracle_at(&schema, &graph, &deltas, deltas.len());
-        if fenced || committed == deltas.len() {
-            assert_store_equals_oracle(&store, &oracle, "final state");
-        }
-        drop(store);
-        let recovered = open_durable_with(
-            &dir, schema.clone(), GraphInstance::new(), opts,
-        ).expect("reopen");
-        if fenced || committed == deltas.len() {
-            assert_store_equals_oracle(&recovered, &oracle, "final recovery");
-        }
-        std::fs::remove_dir_all(&dir).ok();
+        sticky_sync_failure(graph, seed, false);
+    }
+
+    /// The fsyncgate property with the script sent through
+    /// `commit_group`: a failed group fsync fences with memory intact.
+    #[test]
+    fn sticky_sync_failure_fences_groups_and_checkpoint_now_recovers(
+        graph in arb_instance(&fixtures::emp::schema(), 3, 5),
+        seed in any::<u64>(),
+    ) {
+        sticky_sync_failure(graph, seed, true);
     }
 
     /// Recovery-path sweep: a valid directory reopened with a fault at
@@ -477,7 +390,7 @@ proptest! {
                 store.commit(d.clone()).expect("fault-free commit");
             }
         }
-        let oracle = oracle_at(&schema, &graph, &deltas, deltas.len());
+        let oracle = oracle_of(&schema, &graph, &deltas);
         // Probe the recovery path's operation count.
         let recovery_ops = {
             let probe_dir = scratch("recovery-probe");
@@ -530,4 +443,181 @@ fn wal_or_checkpoint_exists(dir: &Path) -> bool {
             name.ends_with(".wal") || name.ends_with(".ckpt")
         })
     })
+}
+
+/// The main sweep's body: probe the script's VFS operation count, then
+/// re-run it once per operation with that operation failing.
+fn sweep_every_io_failure_point(graph: GraphInstance, seed: u64, grouped: bool) {
+    let schema = fixtures::emp::schema();
+    let mut rng = StdRng::seed_from_u64(seed);
+    let opts = chaos_opts(&mut rng);
+    let commits = rng.gen_range(2..=4usize);
+    let deltas = scripted(&schema, &graph, &mut rng, commits);
+    let groups = script_groups(&mut rng, deltas.len(), grouped);
+
+    // Probe run: count the operations a fault-free run performs.
+    let total_ops = {
+        let dir = scratch("probe");
+        let vfs = FaultVfs::default();
+        let store =
+            open_durable_with_vfs(&dir, schema.clone(), graph.clone(), opts, Arc::new(vfs.clone()))
+                .expect("fault-free open");
+        for g in &groups {
+            for r in commit_one_group(&store, &deltas[g.clone()], grouped) {
+                r.expect("fault-free commit");
+            }
+        }
+        drop(store);
+        std::fs::remove_dir_all(&dir).ok();
+        vfs.ops()
+    };
+    prop_assert!(total_ops >= 5, "the probe must observe the script's I/O");
+
+    for k in 1..=total_ops {
+        let kind = if k % 2 == 0 { FaultKind::ShortWrite } else { FaultKind::Error };
+        let dir = scratch("sweep");
+        let vfs = FaultVfs::default();
+        vfs.fail_nth_kind(k, kind);
+        let opened =
+            open_durable_with_vfs(&dir, schema.clone(), graph.clone(), opts, Arc::new(vfs.clone()));
+        let mut committed: Vec<Delta> = Vec::new();
+        match opened {
+            Err(e) => {
+                // A fault during bootstrap fails typed; the partial
+                // directory must still be recoverable or typed-bad.
+                prop_assert!(!e.is_rejected(), "bootstrap fault misclassified: {e}");
+            }
+            Ok(store) => {
+                // The first failed member: its group, position, and error.
+                let mut failure: Option<(Range<usize>, usize, StoreError)> = None;
+                for g in &groups {
+                    let results = commit_one_group(&store, &deltas[g.clone()], grouped);
+                    for (i, r) in g.clone().zip(results) {
+                        match r {
+                            Ok(_) => committed.push(deltas[i].clone()),
+                            Err(e) => {
+                                // A member may only be rejected when an
+                                // earlier member of its group aborted and
+                                // took the keys it depends on.
+                                let after_abort =
+                                    failure.as_ref().is_some_and(|(_, _, f)| f.is_io());
+                                prop_assert!(
+                                    e.is_io() || e.is_fenced() || (e.is_rejected() && after_abort),
+                                    "an injected fault surfaced as `{e}` — only Io (rolled back) \
+                                     or Fenced are legal for a valid delta"
+                                );
+                                failure.get_or_insert((g.clone(), i, e));
+                            }
+                        }
+                    }
+                    if failure.is_some() {
+                        break;
+                    }
+                }
+                if let Some((g, i, e)) = failure {
+                    // Side-effect-free or fenced: either way the
+                    // published state is exactly what was acknowledged.
+                    prop_assert_eq!(store.is_fenced(), e.is_fenced());
+                    let oracle = oracle_of(&schema, &graph, &committed);
+                    assert_store_equals_oracle(&store, &oracle, &format!("after fault k={k}"));
+                    if e.is_fenced() {
+                        // Fenced: commits are refused, reads keep serving.
+                        for r in commit_one_group(&store, &deltas[g], grouped) {
+                            prop_assert!(r.unwrap_err().is_fenced());
+                        }
+                    } else if i + 1 == g.end {
+                        // Live: the same delta goes through on retry (the
+                        // one-shot fault is spent).  Only the last member
+                        // of a group can retry without reordering.
+                        for r in commit_one_group(&store, &deltas[i..=i], grouped) {
+                            r.expect("retry after Io");
+                        }
+                        committed.push(deltas[i].clone());
+                    }
+                }
+                drop(store);
+            }
+        }
+        // Reopen on the real filesystem: recovery must land exactly on
+        // the acknowledged commits — never a partial commit, never a
+        // lost acknowledged one.  (One-shot faults always roll the failed
+        // record back, so "exact" is the right bound.)
+        if !committed.is_empty() || wal_or_checkpoint_exists(&dir) {
+            let recovered = open_durable_with(&dir, schema.clone(), GraphInstance::new(), opts)
+                .expect("reopen after a contained fault must recover");
+            let oracle = oracle_of(&schema, &graph, &committed);
+            assert_store_equals_oracle(&recovered, &oracle, &format!("recovery k={k}"));
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}
+
+/// The fsyncgate property's body: healthy groups, then syncs fail from
+/// a random operation on until the store fences; `checkpoint_now`
+/// recovers it once the disk heals and the script finishes.
+fn sticky_sync_failure(graph: GraphInstance, seed: u64, grouped: bool) {
+    let schema = fixtures::emp::schema();
+    let mut rng = StdRng::seed_from_u64(seed);
+    let opts = chaos_opts(&mut rng);
+    let commits = rng.gen_range(2..=4usize);
+    let deltas = scripted(&schema, &graph, &mut rng, commits);
+    let dir = scratch("sticky");
+    let vfs = FaultVfs::default();
+    let store =
+        open_durable_with_vfs(&dir, schema.clone(), graph.clone(), opts, Arc::new(vfs.clone()))
+            .expect("fault-free open");
+    let healthy = rng.gen_range(0..deltas.len());
+    for g in script_groups(&mut rng, healthy, grouped) {
+        for r in commit_one_group(&store, &deltas[g], grouped) {
+            r.expect("pre-fault commit");
+        }
+    }
+    // The disk stops syncing (but not writing) somewhere in the next
+    // commit — or a later one.
+    vfs.fail_from(vfs.ops() + rng.gen_range(1..=8u64));
+    vfs.exempt(&[OpClass::Read, OpClass::Write, OpClass::SetLen, OpClass::Meta]);
+    let mut committed = healthy;
+    let mut fenced = false;
+    'script: for g in script_groups(&mut rng, deltas.len() - healthy, grouped) {
+        let g = g.start + healthy..g.end + healthy;
+        for r in commit_one_group(&store, &deltas[g], grouped) {
+            match r {
+                // Members of one group share one fsync: none succeeds
+                // after another fenced.
+                Ok(_) if !fenced => committed += 1,
+                Ok(_) => prop_assert!(false, "a member succeeded after its group fenced"),
+                Err(e) => {
+                    prop_assert!(e.is_fenced(), "a sync failure must fence, got: {e}");
+                    fenced = true;
+                }
+            }
+        }
+        if fenced {
+            break 'script;
+        }
+    }
+    if fenced {
+        prop_assert!(store.is_fenced());
+        let oracle = oracle_of(&schema, &graph, &deltas[..committed]);
+        assert_store_equals_oracle(&store, &oracle, "fenced reads");
+        // The disk heals: checkpoint_now re-captures state on fresh
+        // files and lifts the fence; the interrupted script finishes.
+        vfs.clear();
+        store.checkpoint_now().expect("fence recovery");
+        prop_assert!(!store.is_fenced());
+        for r in commit_one_group(&store, &deltas[committed..], grouped) {
+            r.expect("post-recovery commit");
+        }
+    }
+    let oracle = oracle_of(&schema, &graph, &deltas);
+    if fenced || committed == deltas.len() {
+        assert_store_equals_oracle(&store, &oracle, "final state");
+    }
+    drop(store);
+    let recovered =
+        open_durable_with(&dir, schema.clone(), GraphInstance::new(), opts).expect("reopen");
+    if fenced || committed == deltas.len() {
+        assert_store_equals_oracle(&recovered, &oracle, "final recovery");
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }

@@ -10,11 +10,14 @@
 //!
 //! * every accepted member got its own distinct generation, and the
 //!   accepted generations are exactly `1..=n` — the witness order;
-//! * replaying the accepted deltas **solo** (no group committer) in
-//!   generation order accepts every one of them, at the same
+//! * replaying the accepted deltas **serially** (no group committer;
+//!   each solo `commit` is a group of one on the store's single commit
+//!   path) in generation order accepts every one of them, at the same
 //!   generation;
 //! * the two stores publish bag-equal induced tables, in both layouts
-//!   (the columnar image must equal the row image on each store);
+//!   (the columnar image must equal the row image on each store), and
+//!   each store's images are bag-equal to a cold `Snapshot::freeze` of
+//!   its own graph — an image reference independent of the commit path;
 //! * the transpilation soundness oracle holds on both stores' live
 //!   query surfaces;
 //! * every failed member failed `Rejected` — individually, without
@@ -26,7 +29,7 @@
 //! runs a modest case count; raise it via `PROPTEST_CASES`.
 
 use graphiti_common::{Ident, Value};
-use graphiti_engine::SqlTarget;
+use graphiti_engine::{Snapshot, SqlTarget};
 use graphiti_graph::GraphSchema;
 use graphiti_store::{Delta, GraphStore, GroupOptions, QuerySurface, StoreError};
 use graphiti_testkit::{differential_oracle_on, fixtures};
@@ -142,7 +145,7 @@ proptest! {
         prop_assert_eq!(&gens, &(1..=accepted.len() as u64).collect::<Vec<_>>());
         prop_assert_eq!(store.generation(), accepted.len() as u64);
 
-        // Serial replay: the same deltas, solo commits, witness order.
+        // Serial replay: the same deltas, groups of one, witness order.
         let serial = GraphStore::builder(schema.clone()).open().unwrap();
         for (gen, delta) in &accepted {
             let info = serial
@@ -164,6 +167,17 @@ proptest! {
             );
         }
         for (which, s) in [("group", &snap), ("serial", &serial_snap)] {
+            let cold = Snapshot::freeze(s.schema().clone(), s.graph().clone())
+                .expect("the committed graph stays schema-valid");
+            for (name, cold_table) in cold.induced().tables() {
+                let live = s.induced().table(name).unwrap_or_else(|| panic!("missing `{name}`"));
+                prop_assert_eq!(&live.columns, &cold_table.columns);
+                prop_assert!(
+                    live.rows_bag_equal(cold_table),
+                    "{} store: `{}` diverges from a cold freeze:\nincremental:\n{}\ncold:\n{}",
+                    which, name, live, cold_table
+                );
+            }
             let columnar = s.sql_columnar(&SqlTarget::Induced).unwrap();
             for (name, row_table) in s.induced().tables() {
                 let col_image = columnar
