@@ -1750,10 +1750,10 @@ vs\n{tb}"
         assert_matches_cold_freeze(recovered);
     }
 
-    fn durable_opts(fsync: bool, interval: u64) -> DurabilityOptions {
+    fn durable_opts(fsync_each_commit: bool, checkpoint_interval: u64) -> DurabilityOptions {
         DurabilityOptions {
-            fsync_each_commit: fsync,
-            checkpoint_interval: interval,
+            fsync_each_commit,
+            checkpoint_interval,
             keep_checkpoints: 2,
             // No retries: fault-injection tests want the first injected
             // failure to surface rather than be retried away.

@@ -43,7 +43,7 @@ struct StagedEdge {
 /// It grows only with the group's own operations, so a caller snapshots
 /// it (`clone`) before a member and restores the snapshot when that
 /// member is rejected or its WAL append aborts.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub(crate) struct Staging {
     /// The stable key the next staged addition receives: the key
     /// `apply_delta` assigns when the accepted members are applied in
@@ -225,19 +225,7 @@ fn check_props(
 impl Staging {
     /// An empty staging over the master state: nothing staged yet.
     pub(crate) fn new(st: &StoreState) -> Staging {
-        Staging {
-            next_key: st.next_key,
-            new_nodes: Vec::new(),
-            new_edges: Vec::new(),
-            removed_nodes: HashSet::new(),
-            removed_edges: HashSet::new(),
-            node_overrides: HashMap::new(),
-            edge_overrides: HashMap::new(),
-            freed: HashSet::new(),
-            claimed: HashSet::new(),
-            node_keys: HashMap::new(),
-            edge_keys: HashMap::new(),
-        }
+        Staging { next_key: st.next_key, ..Staging::default() }
     }
 
     /// Validates the next member of a group against the master state plus
