@@ -211,8 +211,8 @@ fn main() {
             BatchQuery::Cypher { .. } => None,
             BatchQuery::Sql { text, target } => {
                 let snapshot = &ctxs[it.bench].snapshot;
-                let instance = snapshot.sql_instance(target).unwrap();
-                let columnar = snapshot.sql_columnar(target).unwrap();
+                let (instance, columnar) = snapshot.sql_image(target).unwrap();
+                let instance = instance.rows();
                 let ast = graphiti_sql::parse_query(text).unwrap();
                 let plan = graphiti_sql::compile_query(instance, &ast).unwrap();
                 Some(SqlItem { instance, columnar, plan })

@@ -21,10 +21,10 @@
 //!   throughput stays above 20% of the quiet baseline — MVCC readers are
 //!   never blocked, so in practice it stays far higher);
 //! * **incremental ≡ cold differential** — after scripted mutation
-//!   batches on a corpus prefix, every induced table must be bag-equal to
-//!   a cold freeze of the same master graph, the columnar image must equal
-//!   the row image, and the benchmark's Cypher query must evaluate
-//!   equivalently through the store's engine and a cold engine
+//!   batches on a corpus prefix, every published columnar table must be
+//!   bag-equal to a cold freeze of the same master graph and equal the
+//!   store's table log row for row, and the benchmark's Cypher query must
+//!   evaluate equivalently through the store's engine and a cold engine
 //!   (`store_differential_agree`, gated);
 //! * **engine observability** — `Engine::stats()` (pool threads + plan
 //!   cache counters) is reported for the read-phase engine.
@@ -338,16 +338,11 @@ fn main() {
         let snap = store.snapshot();
         let cold = Snapshot::freeze(snap.schema().clone(), snap.graph().clone())
             .expect("master stays valid");
+        let logs = store.table_logs();
         for (name, cold_table) in cold.induced().tables() {
             diff_checked += 1;
-            let live = snap.induced().table(name).expect("table exists");
-            let columnar_ok = snap
-                .sql_columnar(&graphiti_engine::SqlTarget::Induced)
-                .ok()
-                .and_then(|c| c.table(name))
-                .map(|ct| ct.to_table() == *live)
-                .unwrap_or(false);
-            if !(live.rows_bag_equal(cold_table) && columnar_ok) {
+            let live = snap.induced_columnar().table(name).expect("table exists").to_table();
+            if !(live.rows_bag_equal(cold_table) && logs.table(name) == Some(&live)) {
                 eprintln!("store image of `{name}` diverges from cold freeze");
                 all_agree = false;
             }

@@ -16,9 +16,9 @@
 //!   most one cadence interval while the unbounded one replays its whole
 //!   WAL;
 //! * **recovery ≡ memory differential** — every recovered store's induced
-//!   tables must equal (row-for-row, both layouts) an in-memory store
-//!   that committed the same deltas, and the recovered generation must
-//!   match (`recovery_matches_memory`, gated);
+//!   tables must equal (row-for-row, and each store's own table logs) an
+//!   in-memory store that committed the same deltas, and the recovered
+//!   generation must match (`recovery_matches_memory`, gated);
 //! * **torn-tail recovery** — the newest WAL record is cut mid-frame;
 //!   recovery must land exactly one generation back and keep accepting
 //!   commits (`torn_tail_recovered`, gated).
@@ -31,7 +31,6 @@
 //! [--quick] [--out PATH]`.
 
 use graphiti_common::Value;
-use graphiti_engine::SqlTarget;
 use graphiti_graph::{EdgeType, GraphInstance, GraphSchema, NodeType};
 use graphiti_store::{wal_segment_files, Delta, DurabilityOptions, GraphStore, NodeKey};
 use std::fmt::Write as _;
@@ -132,20 +131,23 @@ fn time_commits(store: &GraphStore, commits: i64) -> f64 {
     start.elapsed().as_micros() as f64 / commits as f64
 }
 
-/// Row-for-row, both-layouts equality of two stores' published images.
+/// Row-for-row equality of two stores' published images, each also equal
+/// to its own table logs.
 fn stores_equal(a: &GraphStore, b: &GraphStore) -> bool {
     if a.generation() != b.generation() {
         return false;
     }
     let (sa, sb) = (a.snapshot(), b.snapshot());
-    let col_a = sa.sql_columnar(&SqlTarget::Induced).expect("columnar");
-    for (name, ta) in sa.induced().tables() {
-        let Some(tb) = sb.induced().table(name) else { return false };
-        if ta != tb || col_a.table(name).expect("columnar table").to_table() != *tb {
+    let (col_a, col_b) = (sa.induced_columnar(), sb.induced_columnar());
+    let (logs_a, logs_b) = (a.table_logs(), b.table_logs());
+    for (name, ta) in col_a.tables() {
+        let Some(tb) = col_b.table(name) else { return false };
+        let (ta, tb) = (ta.to_table(), tb.to_table());
+        if ta != tb || logs_a.table(name) != Some(&ta) || logs_b.table(name) != Some(&tb) {
             return false;
         }
     }
-    sa.induced().tables().count() == sb.induced().tables().count()
+    col_a.tables().count() == col_b.tables().count()
 }
 
 /// Prepares a durable directory with `commits` scripted commits, then

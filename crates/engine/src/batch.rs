@@ -558,7 +558,13 @@ impl EngineInner {
         let start = Instant::now();
         let (result, cache_hit, stages) = match query {
             BatchQuery::Cypher { text } => self.execute_cypher(snapshot, text, profiled),
-            BatchQuery::Sql { text, target } => self.execute_sql(snapshot, text, target, profiled),
+            BatchQuery::Sql { text, target } => self.execute_sql(
+                snapshot,
+                text,
+                || graphiti_sql::parse_query(text),
+                target,
+                profiled,
+            ),
         };
         let micros = start.elapsed().as_micros() as u64;
         self.query_micros.record(micros);
@@ -599,60 +605,48 @@ impl EngineInner {
         }
     }
 
+    fn execute_sql_ast(&self, ast: &graphiti_sql::SqlQuery, target: &SqlTarget) -> QueryOutcome {
+        let snapshot = self.current();
+        let start = Instant::now();
+        let text = graphiti_sql::query_to_string(ast);
+        let (result, cache_hit, _) =
+            self.execute_sql(&snapshot, &text, || Ok(ast.clone()), target, false);
+        let micros = start.elapsed().as_micros() as u64;
+        self.query_micros.record(micros);
+        QueryOutcome { result, micros, cache_hit, profile: None }
+    }
+
+    /// The one SQL path: resolve the target → plan cache (a miss parses
+    /// and compiles against the columnar image) → vectorized evaluation.
+    /// The target's row form is only asked for if an operator falls back
+    /// to the row engine.
     fn execute_sql(
         &self,
         snapshot: &Snapshot,
         text: &str,
+        parse: impl FnOnce() -> Result<graphiti_sql::SqlQuery>,
         target: &SqlTarget,
         profiled: bool,
     ) -> (Result<Table>, bool, Vec<StageProfile>) {
-        let instance = match snapshot.sql_instance(target) {
-            Ok(i) => i,
-            Err(e) => return (Err(e), false, Vec::new()),
-        };
-        let columnar = match snapshot.sql_columnar(target) {
-            Ok(c) => c,
+        let (rows, columnar) = match snapshot.sql_image(target) {
+            Ok(image) => image,
             Err(e) => return (Err(e), false, Vec::new()),
         };
         let (plan, hit) = match self.cache.sql(text, target, || {
-            let ast = graphiti_sql::parse_query(text)?;
-            let plan = graphiti_sql::compile_query(instance, &ast)?;
+            let ast = parse()?;
+            let plan = graphiti_sql::compile_query(columnar, &ast)?;
             Ok(SqlPlan { ast, plan })
         }) {
             Ok(pair) => pair,
             Err(e) => return (Err(e), false, Vec::new()),
         };
         if profiled {
-            match graphiti_sql::eval_vectorized_profiled(instance, columnar, &plan.plan) {
+            match graphiti_sql::eval_vectorized_profiled(rows, columnar, &plan.plan) {
                 Ok((table, stages)) => (Ok(table), hit, stages),
                 Err(e) => (Err(e), hit, Vec::new()),
             }
         } else {
-            (graphiti_sql::eval_vectorized(instance, columnar, &plan.plan), hit, Vec::new())
+            (graphiti_sql::eval_vectorized(rows, columnar, &plan.plan), hit, Vec::new())
         }
-    }
-
-    fn execute_sql_ast(&self, ast: &graphiti_sql::SqlQuery, target: &SqlTarget) -> QueryOutcome {
-        let snapshot = self.current();
-        let start = Instant::now();
-        let (result, cache_hit) =
-            match (snapshot.sql_instance(target), snapshot.sql_columnar(target)) {
-                (Ok(instance), Ok(columnar)) => {
-                    let text = graphiti_sql::query_to_string(ast);
-                    match self.cache.sql(&text, target, || {
-                        let plan = graphiti_sql::compile_query(instance, ast)?;
-                        Ok(SqlPlan { ast: ast.clone(), plan })
-                    }) {
-                        Ok((plan, hit)) => {
-                            (graphiti_sql::eval_vectorized(instance, columnar, &plan.plan), hit)
-                        }
-                        Err(e) => (Err(e), false),
-                    }
-                }
-                (Err(e), _) | (_, Err(e)) => (Err(e), false),
-            };
-        let micros = start.elapsed().as_micros() as u64;
-        self.query_micros.record(micros);
-        QueryOutcome { result, micros, cache_hit, profile: None }
     }
 }

@@ -3,9 +3,9 @@
 //! A [`Snapshot`] freezes one property graph together with everything a
 //! query service needs to answer both Cypher and SQL traffic against it:
 //! the validated [`GraphInstance`] (adjacency indexes included), the
-//! inferred [`SdtContext`], the SDT-image [`RelInstance`] the transpiler
-//! targets, and any number of additional named relational instances (e.g.
-//! a benchmark's user-transformed target database).
+//! inferred [`SdtContext`], the columnar image of the SDT-image instance
+//! the transpiler targets, and any number of additional named relational
+//! instances (e.g. a benchmark's user-transformed target database).
 //!
 //! Snapshots are handed out as `Arc<Snapshot>`: cloning a handle is a
 //! reference-count bump, and every contained type is plain owned data
@@ -17,9 +17,10 @@ use graphiti_common::Result;
 use graphiti_core::{infer_sdt, SdtContext};
 use graphiti_graph::{GraphInstance, GraphSchema};
 use graphiti_relational::{ColumnInstance, RelInstance};
+use graphiti_sql::RowSource;
 use graphiti_transformer::apply_to_graph;
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// The shared map of extra named row instances carried by a snapshot.
 pub type SharedExtras = Arc<BTreeMap<String, RelInstance>>;
@@ -44,29 +45,45 @@ impl std::fmt::Display for SqlTarget {
     }
 }
 
+/// The SDT image of one generation: the columnar tables every query
+/// scans, plus a row view derived from them (losslessly, row order
+/// included) the first time something needs rows — a SQL operator that
+/// falls back to the row engine, or a caller of [`Snapshot::induced`].
+#[derive(Debug)]
+struct InducedImage {
+    columnar: ColumnInstance,
+    rows: OnceLock<RelInstance>,
+}
+
+impl RowSource for InducedImage {
+    fn rows(&self) -> &RelInstance {
+        self.rows.get_or_init(|| self.columnar.to_rel())
+    }
+}
+
 /// A frozen, validated, query-ready database state.
 ///
-/// Every relational instance is materialized **twice** at freeze time: the
-/// row-oriented [`RelInstance`] (plan compilation, subquery re-entry, the
-/// row-at-a-time oracle path) and its columnar image
-/// ([`ColumnInstance`]) that the vectorized executor scans — so every
-/// batch query starts from cache-friendly typed columns without any
-/// per-query conversion.
+/// The induced instance is held in columnar form ([`ColumnInstance`]),
+/// which the vectorized executor scans, so every batch query starts from
+/// cache-friendly typed columns without any per-query conversion.  Its
+/// row-oriented [`RelInstance`] is a view built at most once per snapshot,
+/// on first use; a cold [`Snapshot::freeze`] has the rows anyway and keeps
+/// them.  The extra named instances are held in both layouts.
 #[derive(Debug)]
 pub struct Snapshot {
     // The schema, graph, and SDT context sit behind `Arc`s so successive
     // MVCC generations published by a writable store share them: a
     // data-only commit re-publishes these as reference-count bumps.  The
     // same goes for the extra named instances, which a store never
-    // mutates; the induced images are per-generation values whose
-    // *tables* share untouched payloads internally (see
-    // [`RelInstance`]'s copy-on-write tables and [`ColumnTable`]'s
+    // mutates; the induced image is a per-generation value whose tables
+    // share untouched columns internally (see [`ColumnTable`]'s
     // `Arc`-shared columns).
+    //
+    // [`ColumnTable`]: graphiti_relational::ColumnTable
     schema: Arc<GraphSchema>,
     graph: Arc<GraphInstance>,
     ctx: Arc<SdtContext>,
-    induced: RelInstance,
-    induced_columnar: ColumnInstance,
+    induced: InducedImage,
     extra: Arc<BTreeMap<String, RelInstance>>,
     extra_columnar: Arc<BTreeMap<String, ColumnInstance>>,
 }
@@ -89,19 +106,7 @@ impl Snapshot {
         graph.validate(&schema)?;
         let ctx = infer_sdt(&schema)?;
         let induced = apply_to_graph(&ctx.sdt, &schema, &graph, &ctx.induced_schema)?;
-        let extra: BTreeMap<String, RelInstance> = extra.into_iter().collect();
-        let induced_columnar = ColumnInstance::from_rel(&induced);
-        let extra_columnar =
-            extra.iter().map(|(k, v)| (k.clone(), ColumnInstance::from_rel(v))).collect();
-        Ok(Arc::new(Snapshot {
-            schema: Arc::new(schema),
-            graph: Arc::new(graph),
-            ctx: Arc::new(ctx),
-            induced,
-            induced_columnar,
-            extra: Arc::new(extra),
-            extra_columnar: Arc::new(extra_columnar),
-        }))
+        Ok(Snapshot::from_parts(schema, graph, ctx, induced, extra))
     }
 
     /// Assembles a snapshot from already-computed parts (e.g. a benchmark
@@ -115,39 +120,38 @@ impl Snapshot {
         extra: impl IntoIterator<Item = (String, RelInstance)>,
     ) -> Arc<Snapshot> {
         let extra: BTreeMap<String, RelInstance> = extra.into_iter().collect();
-        let induced_columnar = ColumnInstance::from_rel(&induced);
         let extra_columnar =
             extra.iter().map(|(k, v)| (k.clone(), ColumnInstance::from_rel(v))).collect();
+        let induced =
+            InducedImage { columnar: ColumnInstance::from_rel(&induced), rows: induced.into() };
         Arc::new(Snapshot {
             schema: Arc::new(schema),
             graph: Arc::new(graph),
             ctx: Arc::new(ctx),
             induced,
-            induced_columnar,
             extra: Arc::new(extra),
             extra_columnar: Arc::new(extra_columnar),
         })
     }
 
-    /// Assembles a snapshot from fully-precomputed parts, **including** the
-    /// columnar images — nothing is validated, converted, or copied.  This
-    /// is the incremental re-freeze publication point: a writable store's
-    /// commit path patches the previous generation's images with per-table
-    /// row deltas and hands them here, while the schema, SDT context, and
-    /// extra maps ride along as `Arc` bumps.  The caller vouches that
-    /// `induced_columnar` is the columnar image of `induced` and that
-    /// `induced` is the `ctx.sdt`-image of `graph`.
-    #[allow(clippy::too_many_arguments)]
+    /// Assembles a snapshot from fully-precomputed parts — nothing is
+    /// validated, converted, or copied, and the row view of the induced
+    /// instance is left unbuilt.  This is the incremental re-freeze
+    /// publication point: a writable store's commit path patches the
+    /// previous generation's columnar image with per-table row deltas and
+    /// hands it here, while the schema, SDT context, and extra maps ride
+    /// along as `Arc` bumps.  The caller vouches that `induced_columnar`
+    /// is the columnar image of the `ctx.sdt`-image of `graph`.
     pub fn from_parts_with_columnar(
         schema: Arc<GraphSchema>,
         graph: Arc<GraphInstance>,
         ctx: Arc<SdtContext>,
-        induced: RelInstance,
         induced_columnar: ColumnInstance,
         extra: SharedExtras,
         extra_columnar: SharedColumnarExtras,
     ) -> Arc<Snapshot> {
-        Arc::new(Snapshot { schema, graph, ctx, induced, induced_columnar, extra, extra_columnar })
+        let induced = InducedImage { columnar: induced_columnar, rows: OnceLock::new() };
+        Arc::new(Snapshot { schema, graph, ctx, induced, extra, extra_columnar })
     }
 
     /// The shared extra-instance maps (row and columnar), for publishing a
@@ -174,7 +178,7 @@ impl Snapshot {
 
     /// The columnar image of the induced instance.
     pub fn induced_columnar(&self) -> &ColumnInstance {
-        &self.induced_columnar
+        &self.induced.columnar
     }
 
     /// The graph schema.
@@ -192,29 +196,37 @@ impl Snapshot {
         &self.ctx
     }
 
-    /// The SDT-image relational instance.
+    /// The SDT-image relational instance, as rows.  The first call on a
+    /// snapshot builds this view from the columnar image; later calls
+    /// return the same instance.
     pub fn induced(&self) -> &RelInstance {
-        &self.induced
+        self.induced.rows()
     }
 
-    /// Resolves a SQL target to its relational instance.
+    /// Whether the row view of the induced instance exists yet (see
+    /// [`Snapshot::induced`]).
+    pub fn row_view_built(&self) -> bool {
+        self.induced.rows.get().is_some()
+    }
+
+    /// Resolves a SQL target to its relational instance (for
+    /// [`SqlTarget::Induced`], the row view of [`Snapshot::induced`]).
     pub fn sql_instance(&self, target: &SqlTarget) -> Result<&RelInstance> {
-        match target {
-            SqlTarget::Induced => Ok(&self.induced),
-            SqlTarget::Named(name) => self.extra.get(name).ok_or_else(|| {
-                graphiti_common::Error::eval(format!("unknown snapshot target `{name}`"))
-            }),
-        }
+        Ok(self.sql_image(target)?.0.rows())
     }
 
-    /// Resolves a SQL target to its columnar image (built at freeze time;
-    /// the vectorized executor scans these).
-    pub fn sql_columnar(&self, target: &SqlTarget) -> Result<&ColumnInstance> {
+    /// Resolves a SQL target to both layouts: the row source, which the
+    /// induced target builds only if asked for rows, and the columnar
+    /// image the vectorized executor scans.
+    pub fn sql_image(&self, target: &SqlTarget) -> Result<(&dyn RowSource, &ColumnInstance)> {
+        let unknown =
+            |name: &str| graphiti_common::Error::eval(format!("unknown snapshot target `{name}`"));
         match target {
-            SqlTarget::Induced => Ok(&self.induced_columnar),
-            SqlTarget::Named(name) => self.extra_columnar.get(name).ok_or_else(|| {
-                graphiti_common::Error::eval(format!("unknown snapshot target `{name}`"))
-            }),
+            SqlTarget::Induced => Ok((&self.induced, &self.induced.columnar)),
+            SqlTarget::Named(name) => match (self.extra.get(name), self.extra_columnar.get(name)) {
+                (Some(rows), Some(columnar)) => Ok((rows, columnar)),
+                _ => Err(unknown(name)),
+            },
         }
     }
 

@@ -816,6 +816,16 @@ impl ColumnInstance {
         out
     }
 
+    /// Converts every table back to rows losslessly (the inverse of
+    /// [`ColumnInstance::from_rel`], row order included).
+    pub fn to_rel(&self) -> RelInstance {
+        let mut out = RelInstance::new();
+        for (name, table) in &self.tables {
+            out.insert_table(name.clone(), table.to_table());
+        }
+        out
+    }
+
     /// Inserts (or replaces) a table.
     pub fn insert_table(&mut self, name: impl Into<String>, table: ColumnTable) {
         self.tables.insert(name.into(), table);

@@ -285,10 +285,10 @@ impl Table {
 /// the `appended` rows land at the end.
 ///
 /// Produced by the writable graph store's commit path (one delta per
-/// touched induced table per commit) and consumed by both storage layouts
-/// — [`Table::apply_delta`] for the row image and
-/// [`ColumnTable::apply_delta`](crate::column::ColumnTable::apply_delta)
-/// for the columnar image — which are guaranteed to agree row-for-row.
+/// touched induced table per commit), which patches the columnar image
+/// with [`ColumnTable::apply_delta`](crate::column::ColumnTable::apply_delta).
+/// [`Table::apply_delta`] is its row-layout dual, kept as the reference the
+/// columnar patch is tested against: the two agree row-for-row.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct TableDelta {
     /// Cell patches `(row, column, new value)`, in pre-delta coordinates.

@@ -54,6 +54,6 @@ pub use ast::{ColumnRef, JoinKind, SelectItem, SqlExpr, SqlPred, SqlQuery};
 pub use eval::{eval_compiled, eval_query, eval_query_unoptimized, resolve_column};
 pub use optimize::optimize;
 pub use parser::parse_query;
-pub use plan::{compile_query, CompiledQuery};
+pub use plan::{compile_query, CompiledQuery, TableLayouts};
 pub use pretty::query_to_string;
-pub use vectorized::{eval_vectorized, eval_vectorized_profiled};
+pub use vectorized::{eval_vectorized, eval_vectorized_profiled, RowSource};

@@ -12,9 +12,10 @@
 //!
 //! Compilation statically replays the evaluator's column-layout
 //! bookkeeping: starting from the base-table layouts of a concrete
-//! [`RelInstance`], every operator's output columns are inferred exactly as
-//! the interpreter's `requalify`/projection/join logic would produce them,
-//! and each operator's programs are lowered against its input layout.  The
+//! instance, in either storage layout ([`TableLayouts`]), every
+//! operator's output columns are inferred exactly as the interpreter's
+//! `requalify`/projection/join logic would produce them, and each
+//! operator's programs are lowered against its input layout.  The
 //! plan is therefore *instance-schema-specific*: it is valid for any
 //! instance whose tables have the same names and column lists as the one it
 //! was compiled against (the engine compiles against an immutable
@@ -41,7 +42,7 @@ use crate::compile::{
 use crate::eval::resolve_column;
 use crate::optimize::optimize;
 use graphiti_common::{Error, Ident, Result};
-use graphiti_relational::RelInstance;
+use graphiti_relational::{ColumnInstance, RelInstance};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -112,10 +113,32 @@ pub(crate) enum PlanOp {
     OrderBy { input: Box<PlanNode>, keys: Vec<(usize, bool)> },
 }
 
+/// The base-table layouts a plan is compiled against.  Both storage
+/// layouts of an instance name the same tables and columns, so a plan
+/// compiled against either runs on both.
+pub trait TableLayouts {
+    /// The columns of base table `name`, with the same case-insensitive
+    /// fallback as [`RelInstance::table`]; `None` if there is no such
+    /// table.
+    fn table_columns(&self, name: &str) -> Option<&[String]>;
+}
+
+impl TableLayouts for RelInstance {
+    fn table_columns(&self, name: &str) -> Option<&[String]> {
+        self.table(name).map(|t| t.columns.as_slice())
+    }
+}
+
+impl TableLayouts for ColumnInstance {
+    fn table_columns(&self, name: &str) -> Option<&[String]> {
+        self.table(name).map(|t| t.columns().as_slice())
+    }
+}
+
 /// Compiles `query` into an execution plan for instances shaped like
 /// `instance`, running the selection-pushdown optimizer first (the same
 /// pipeline as [`eval_query`](crate::eval_query)).
-pub fn compile_query(instance: &RelInstance, query: &SqlQuery) -> Result<CompiledQuery> {
+pub fn compile_query(instance: &dyn TableLayouts, query: &SqlQuery) -> Result<CompiledQuery> {
     let optimized = optimize(query);
     let root = compile_node(&optimized, instance, &HashMap::new())?;
     Ok(CompiledQuery { root })
@@ -137,14 +160,14 @@ fn unqualified(name: &str) -> &str {
 /// case-insensitive-fallback lookup order.
 fn scan_columns(
     name: &str,
-    instance: &RelInstance,
+    instance: &dyn TableLayouts,
     ctes: &HashMap<String, Vec<String>>,
 ) -> Result<Vec<String>> {
     let base = ctes
         .get(name)
         .or_else(|| ctes.iter().find(|(k, _)| k.eq_ignore_ascii_case(name)).map(|(_, v)| v))
         .cloned()
-        .or_else(|| instance.table(name).map(|t| t.columns.clone()));
+        .or_else(|| instance.table_columns(name).map(<[String]>::to_vec));
     match base {
         Some(cols) => Ok(requalify_columns(&cols, name)),
         None => Err(Error::eval(format!("unknown table `{name}`"))),
@@ -153,7 +176,7 @@ fn scan_columns(
 
 fn compile_node(
     q: &SqlQuery,
-    instance: &RelInstance,
+    instance: &dyn TableLayouts,
     ctes: &HashMap<String, Vec<String>>,
 ) -> Result<PlanNode> {
     match q {

@@ -44,18 +44,34 @@ use std::collections::{HashMap, HashSet};
 use std::hash::Hasher;
 use std::sync::Arc;
 
+/// The row-oriented instance behind a columnar image.  The vectorized
+/// executor asks for it only when an operator falls back to the row
+/// engine (subquery re-entry) or scans a table the columnar image lacks,
+/// so an implementation may build it on first use.
+pub trait RowSource {
+    /// The row image.
+    fn rows(&self) -> &RelInstance;
+}
+
+impl RowSource for RelInstance {
+    fn rows(&self) -> &RelInstance {
+        self
+    }
+}
+
 /// Executes a pre-compiled plan against the columnar image of an instance.
 ///
-/// `instance` is the row-oriented instance the plan was compiled against;
-/// it backs subquery re-entry (subqueries evaluate through the row engine,
-/// exactly as `eval_compiled` does) and any table missing from `columnar`.
-/// Results are identical to [`eval_compiled`](crate::eval::eval_compiled).
+/// `instance` is the row-oriented form of `columnar`; it backs subquery
+/// re-entry (subqueries evaluate through the row engine, exactly as
+/// `eval_compiled` does) and any table missing from `columnar`, and a
+/// query that needs neither never asks it for rows.  Results are
+/// identical to [`eval_compiled`](crate::eval::eval_compiled).
 pub fn eval_vectorized(
-    instance: &RelInstance,
+    instance: &dyn RowSource,
     columnar: &ColumnInstance,
     plan: &CompiledQuery,
 ) -> Result<Table> {
-    let ev = VecEvaluator { rowwise: Evaluator { instance, compiled: true }, columnar, prof: None };
+    let ev = VecEvaluator::new(instance, columnar, None);
     let out = ev.eval(&plan.root, &Ctes::default())?;
     Ok(out.to_table())
 }
@@ -66,15 +82,11 @@ pub fn eval_vectorized(
 /// come back in completion (post) order; results are identical to the
 /// unprofiled path.
 pub fn eval_vectorized_profiled(
-    instance: &RelInstance,
+    instance: &dyn RowSource,
     columnar: &ColumnInstance,
     plan: &CompiledQuery,
 ) -> Result<(Table, Vec<StageProfile>)> {
-    let ev = VecEvaluator {
-        rowwise: Evaluator { instance, compiled: true },
-        columnar,
-        prof: Some(std::cell::RefCell::new(StageSink::new())),
-    };
+    let ev = VecEvaluator::new(instance, columnar, Some(std::cell::RefCell::new(StageSink::new())));
     let out = ev.eval(&plan.root, &Ctes::default())?;
     let stages = ev.prof.expect("sink installed above").into_inner().finish();
     Ok((out.to_table(), stages))
@@ -108,11 +120,31 @@ impl Ctes {
 }
 
 struct VecEvaluator<'a> {
-    rowwise: Evaluator<'a>,
+    rows: &'a dyn RowSource,
+    /// The row engine fallbacks re-enter, built on the first fallback
+    /// (like [`Ctes::row`]), so fully-vectorizable queries never ask
+    /// `rows` for the row image.
+    rowwise: std::cell::OnceCell<Evaluator<'a>>,
     columnar: &'a ColumnInstance,
     /// Per-operator stage collection, installed by
     /// [`eval_vectorized_profiled`] (`None` costs one branch per node).
     prof: Option<std::cell::RefCell<StageSink>>,
+}
+
+impl<'a> VecEvaluator<'a> {
+    fn new(
+        rows: &'a dyn RowSource,
+        columnar: &'a ColumnInstance,
+        prof: Option<std::cell::RefCell<StageSink>>,
+    ) -> VecEvaluator<'a> {
+        VecEvaluator { rows, rowwise: std::cell::OnceCell::new(), columnar, prof }
+    }
+
+    /// The row engine, for operators that fall back to it.
+    fn rowwise(&self) -> &Evaluator<'a> {
+        let rows = self.rows;
+        self.rowwise.get_or_init(|| Evaluator { instance: rows.rows(), compiled: true })
+    }
 }
 
 /// The profile label of a plan operator.
@@ -360,7 +392,7 @@ impl<'a> VecEvaluator<'a> {
         }
         // A table the columnar image does not carry (should not happen for
         // engine-built snapshots): convert on the fly.
-        match self.rowwise.instance.table(name) {
+        match self.rows.rows().table(name) {
             Some(t) => Ok(ColumnTable::from_table(t).with_column_names(Arc::clone(columns))),
             None => Err(Error::eval(format!("unknown table `{name}`"))),
         }
@@ -381,7 +413,7 @@ impl<'a> VecEvaluator<'a> {
         }
         // Subquery predicate: run the row engine's own select over this
         // operator.
-        let rows = self.rowwise.select_compiled(&t.to_table(), program, ctes.row(), None)?;
+        let rows = self.rowwise().select_compiled(&t.to_table(), program, ctes.row(), None)?;
         Ok(ColumnTable::from_table(&rows).with_column_names(Arc::clone(t.columns())))
     }
 
@@ -394,7 +426,7 @@ impl<'a> VecEvaluator<'a> {
         ctes: &Ctes,
     ) -> Result<ColumnTable> {
         if !programs.iter().all(expr_vectorizable) {
-            let rows = self.rowwise.project_compiled(
+            let rows = self.rowwise().project_compiled(
                 &t.to_table(),
                 programs,
                 distinct,
@@ -517,7 +549,7 @@ impl<'a> VecEvaluator<'a> {
         let mut out = Vec::with_capacity(table.rows.len());
         for row in &table.rows {
             let scope = Scope { columns: &table.columns, row, outer: None };
-            out.push(self.rowwise.eval_cpred(p, &scope, ctes.row(), &cache)?);
+            out.push(self.rowwise().eval_cpred(p, &scope, ctes.row(), &cache)?);
         }
         Ok(out)
     }
@@ -532,7 +564,7 @@ impl<'a> VecEvaluator<'a> {
         ctes: &Ctes,
     ) -> Result<ColumnTable> {
         if !pred_vectorizable(program) {
-            let rows = self.rowwise.loop_join_compiled(
+            let rows = self.rowwise().loop_join_compiled(
                 &left.to_table(),
                 &right.to_table(),
                 kind,
@@ -612,7 +644,7 @@ impl<'a> VecEvaluator<'a> {
         ctes: &Ctes,
     ) -> Result<ColumnTable> {
         if !group_vectorizable(keys, items) || !having.is_none_or(having_agg_inners_vectorizable) {
-            let rows = self.rowwise.group_by_compiled(
+            let rows = self.rowwise().group_by_compiled(
                 &input.to_table(),
                 keys,
                 items,
@@ -659,7 +691,13 @@ impl<'a> VecEvaluator<'a> {
         let survivors: Vec<usize> = match having {
             None => (0..groups.len()).collect(),
             Some(p) => {
-                let cache = self.rowwise.cache_cgroup_subqueries(p, ctes.row());
+                let mut subs = Vec::new();
+                p.collect_subqueries(&mut subs);
+                let cache = if subs.is_empty() {
+                    SubqCache::new()
+                } else {
+                    self.rowwise().cache_cgroup_subqueries(p, ctes.row())
+                };
                 let truths = self.eval_group_pred_vec(p, input, &groups, ctes, &cache)?;
                 (0..groups.len()).filter(|&g| truths[g] == Truth::True).collect()
             }
@@ -732,6 +770,19 @@ impl<'a> VecEvaluator<'a> {
                 let vb = self.eval_group_expr_vec(b, batch, groups, ctes)?;
                 va.iter().zip(vb.iter()).map(|(x, y)| x.arith(*op, y)).collect()
             }
+            CGroupExpr::Scalar(inner)
+                if expr_vectorizable(inner)
+                    && !groups.is_empty()
+                    && groups.iter().all(|g| !g.is_empty()) =>
+            {
+                // One column over every group's first row: the rows the
+                // row engine would evaluate, in the same order (and no
+                // row re-entry, so no row image is needed).
+                let firsts: Vec<u32> = groups.iter().map(|g| g[0]).collect();
+                let col = self.eval_expr_vec(inner, &batch.gather(&firsts), ctes)?;
+                let col = col.materialize(firsts.len());
+                Ok((0..firsts.len()).map(|i| col.value(i)).collect())
+            }
             CGroupExpr::Scalar(inner) => {
                 let columns = batch.columns().as_slice();
                 let mut out = Vec::with_capacity(groups.len());
@@ -740,7 +791,7 @@ impl<'a> VecEvaluator<'a> {
                         Some(&first) => {
                             let row = batch.row(first as usize);
                             let scope = Scope { columns, row: &row, outer: None };
-                            out.push(self.rowwise.eval_cexpr(inner, &scope, ctes.row())?);
+                            out.push(self.rowwise().eval_cexpr(inner, &scope, ctes.row())?);
                         }
                         None => out.push(Value::Null),
                     }
@@ -804,7 +855,7 @@ impl<'a> VecEvaluator<'a> {
                         Some(&first) => {
                             let row = batch.row(first as usize);
                             let scope = Scope { columns, row: &row, outer: None };
-                            out.push(self.rowwise.eval_pred(pred, &scope, ctes.row(), cache)?);
+                            out.push(self.rowwise().eval_pred(pred, &scope, ctes.row(), cache)?);
                         }
                         None => out.push(Truth::Unknown),
                     }
@@ -1253,6 +1304,10 @@ mod tests {
         check("SELECT Avg(e.id) AS a, Min(e.name) AS lo, Max(e.name) AS hi FROM emp AS e");
         check("SELECT Count(e.name) AS c FROM emp AS e");
         check("SELECT e.dept, Count(DISTINCT e.name) AS c FROM emp AS e GROUP BY e.dept");
+        // Non-key scalar items take each group's first row.
+        check("SELECT e.dept, e.name, e.id * 2 AS twice FROM emp AS e GROUP BY e.dept");
+        check("SELECT e.dept, e.name FROM emp AS e GROUP BY e.dept HAVING e.id > 1");
+        check("SELECT e.name, Count(*) AS c FROM emp AS e WHERE e.id > 100");
     }
 
     #[test]

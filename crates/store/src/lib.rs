@@ -19,10 +19,12 @@
 //!    renumbering) and to the per-label
 //!    [append + tombstone + compaction logs](`crate::table`);
 //! 3. **publishes a new generation** by patching the *previous*
-//!    generation's row and columnar images with
+//!    generation's columnar image with
 //!    [`TableDelta`](graphiti_relational::TableDelta)s — untouched tables
 //!    are shared, touched columns are patched column-at-a-time — and
-//!    swapping the result into the embedded [`Engine`].
+//!    swapping the result into the embedded [`Engine`].  No row image is
+//!    derived: a generation builds its row view only if a query needs
+//!    rows (see [`Snapshot::induced`]).
 //!
 //! Readers are never blocked: every query/batch pins the generation
 //! current at its start (`Arc<Snapshot>`), writers serialize on the
@@ -738,6 +740,19 @@ impl GraphStore {
             .collect()
     }
 
+    /// Materializes every per-label table log from scratch: live rows in
+    /// log order, the order the published columnar image carries.  Taken
+    /// under the commit lock, so it matches the latest published
+    /// generation.  A consistency check; commits never call it.
+    pub fn table_logs(&self) -> RelInstance {
+        let st = self.state.lock().unwrap_or_else(|p| p.into_inner());
+        let mut out = RelInstance::new();
+        for (name, table) in &st.tables {
+            out.insert_table(name.clone(), table.snapshot_table());
+        }
+        out
+    }
+
     /// Force-compacts every table log with tombstones, returning how many
     /// were rewritten.  Published images are unaffected (compaction only
     /// renumbers internal log slots).
@@ -1033,7 +1048,8 @@ impl GraphStore {
                     match folded.get_mut(&name) {
                         Some((base_rows, acc)) => acc.absorb(*base_rows, &table_delta),
                         None => {
-                            let base_rows = prev.induced().table(&name).map_or(0, |t| t.len());
+                            let base_rows =
+                                prev.induced_columnar().table(&name).map_or(0, |t| t.len());
                             folded.insert(name.clone(), (base_rows, table_delta));
                         }
                     }
@@ -1054,24 +1070,22 @@ impl GraphStore {
             }
             let publish_span =
                 (group_trace != 0).then(|| tracer.span(group_trace, 0, "store.publish"));
-            let mut induced = prev.induced().clone();
             let mut columnar = prev.induced_columnar().clone();
             for (name, (_, delta)) in &folded {
-                let (Some(rows), Some(cols)) = (induced.table(name), columnar.table(name)) else {
+                let Some(cols) = columnar.table(name) else {
                     break 'publish Err(format!("generation lost table `{name}` mid-publish"));
                 };
-                let (row_image, col_image) = (rows.apply_delta(delta), cols.apply_delta(delta));
+                let image = cols.apply_delta(delta);
                 // The patched image must equal what the table log would
                 // materialize from scratch (debug builds only).
                 // Invariant: `folded` keys come from `touch`, which only
                 // records names present in `st.tables`.
                 debug_assert_eq!(
-                    row_image,
+                    image.to_table(),
                     st.tables.get(name).expect("touched table exists").snapshot_table(),
                     "patched image of `{name}` diverges from its log"
                 );
-                induced.insert_table(name.clone(), row_image);
-                columnar.insert_table(name.clone(), col_image);
+                columnar.insert_table(name.clone(), image);
             }
             let (extra, extra_columnar) = prev.extra_parts();
             let graph = publish_graph(st, group_replay);
@@ -1079,7 +1093,6 @@ impl GraphStore {
                 prev.schema_arc(),
                 graph,
                 prev.ctx_arc(),
-                induced,
                 columnar,
                 extra,
                 extra_columnar,
@@ -1289,7 +1302,7 @@ fn wal_append_with_retry(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use graphiti_engine::{BatchQuery, SqlTarget};
+    use graphiti_engine::BatchQuery;
     use graphiti_graph::{EdgeType, NodeType};
     use proptest::prelude::*;
     use rand::rngs::StdRng;
@@ -1313,28 +1326,24 @@ mod tests {
         g
     }
 
-    /// The incremental images must match a cold re-freeze of the master
-    /// graph: equal columns, bag-equal rows, and identical row/columnar
-    /// images.
+    /// The published columnar image must match a cold re-freeze of the
+    /// master graph (equal columns, bag-equal rows) and the table logs
+    /// (row for row, in log order).
     fn assert_matches_cold_freeze(store: &GraphStore) {
         let snap = store.snapshot();
         let cold = Snapshot::freeze(snap.schema().clone(), snap.graph().clone())
             .expect("master graph must stay schema-valid");
+        let logs = store.table_logs();
+        let columnar = snap.induced_columnar();
+        assert_eq!(columnar.tables().count(), cold.induced().tables().count(), "table count");
         for (name, cold_table) in cold.induced().tables() {
-            let live = snap.induced().table(name).expect("table present");
+            let live = columnar.table(name).expect("table present").to_table();
             assert_eq!(live.columns, cold_table.columns, "columns of `{name}`");
             assert!(
                 live.rows_bag_equal(cold_table),
-                "rows of `{name}` diverge from cold freeze:\nincremental:\n{live}
-cold:\n{cold_table}"
+                "rows of `{name}` diverge from cold freeze:\nincremental:\n{live}\ncold:\n{cold_table}"
             );
-            let columnar = snap
-                .sql_columnar(&SqlTarget::Induced)
-                .unwrap()
-                .table(name)
-                .expect("columnar present")
-                .to_table();
-            assert_eq!(columnar, *live, "columnar image of `{name}` diverges from row image");
+            assert_eq!(Some(&live), logs.table(name), "columnar image of `{name}` vs its log");
         }
     }
 
@@ -1711,23 +1720,22 @@ cold:\n{cold_table}"
     }
 
     /// Recovered state must be *exactly* the oracle's: same generation,
-    /// identical published images in both layouts (row order included —
-    /// log order survives recovery), and query-equivalent through the
+    /// identical published columnar images (row order included — log
+    /// order survives recovery), which equal the recovered table logs
+    /// and a cold freeze (bag-equal), and query-equivalent through the
     /// engine.
     fn assert_stores_equal(recovered: &GraphStore, oracle: &GraphStore) {
         assert_eq!(recovered.generation(), oracle.generation(), "generation");
         let (a, b) = (recovered.snapshot(), oracle.snapshot());
-        let mut names_a: Vec<&String> = a.induced().tables().map(|(n, _)| n).collect();
-        let mut names_b: Vec<&String> = b.induced().tables().map(|(n, _)| n).collect();
-        names_a.sort();
-        names_b.sort();
+        let (ca, cb) = (a.induced_columnar(), b.induced_columnar());
+        let names_a: Vec<&String> = ca.tables().map(|(n, _)| n).collect();
+        let names_b: Vec<&String> = cb.tables().map(|(n, _)| n).collect();
         assert_eq!(names_a, names_b, "induced table sets");
-        for (name, ta) in a.induced().tables() {
-            let tb = b.induced().table(name).unwrap();
-            assert_eq!(ta, tb, "row image of `{name}` (log order must survive recovery)");
-            let ca = a.sql_columnar(&SqlTarget::Induced).unwrap().table(name).unwrap().to_table();
-            assert_eq!(ca, *tb, "columnar image of `{name}`");
+        for (name, ta) in ca.tables() {
+            let tb = cb.table(name).unwrap();
+            assert_eq!(ta, tb, "columnar image of `{name}` (log order must survive recovery)");
         }
+        assert_matches_cold_freeze(recovered);
         let queries = [
             BatchQuery::sql("SELECT e.id, e.name FROM EMP AS e"),
             BatchQuery::sql("SELECT Count(*) AS c FROM WORK_AT AS w"),
@@ -2542,8 +2550,13 @@ vs\n{tb}"
     /// reference for [`GraphStore::commit_tagged`], which is now a group
     /// of one: validate, append and fsync this one record, apply,
     /// derive the images from this commit's own table deltas, publish.
+    /// It still derives the row image eagerly, with
+    /// [`Table::apply_delta`](graphiti_relational::Table::apply_delta),
+    /// into `rows` (the caller's copy of the published row image), beside
+    /// the columnar image it publishes.
     fn reference_commit_tagged(
         store: &GraphStore,
+        rows: &mut RelInstance,
         delta: Delta,
         token: Option<u128>,
     ) -> StoreResult<CommitInfo> {
@@ -2628,7 +2641,7 @@ vs\n{tb}"
             }
         };
         let prev = Arc::clone(&st.published_snapshot);
-        let mut induced = prev.induced().clone();
+        let mut induced = rows.clone();
         let mut columnar = prev.induced_columnar().clone();
         let mut touched: Vec<String> = Vec::with_capacity(applied.deltas.len());
         for (name, table_delta) in &applied.deltas {
@@ -2659,11 +2672,11 @@ vs\n{tb}"
             prev.schema_arc(),
             graph,
             prev.ctx_arc(),
-            induced,
             columnar,
             extra,
             extra_columnar,
         );
+        *rows = induced;
         st.published_snapshot = Arc::clone(&snapshot);
         store.engine.swap_snapshot(Arc::clone(&snapshot));
         st.generation += 1;
@@ -2805,25 +2818,28 @@ vs\n{tb}"
             let (new_dir, ref_dir) = (scratch("solo-new"), scratch("solo-ref"));
             let new = open_durable(&new_dir, options).unwrap();
             let reference = open_durable(&ref_dir, options).unwrap();
+            let mut rows = reference.snapshot().induced().clone();
             for step in 0..rng.gen_range(12..=32usize) {
                 let (delta, token) = random_commit(&mut rng, &reference);
-                let want = reference_commit_tagged(&reference, delta.clone(), token);
+                let want = reference_commit_tagged(&reference, &mut rows, delta.clone(), token);
                 let got = new.commit_tagged(delta, token);
                 assert_same_outcome(&got, &want, &format!("step {step}"));
                 if let (Ok(a), Ok(b)) = (&got, &want) {
                     prop_assert_eq!(a.published_generation, b.published_generation);
                 }
             }
+            // Both columnar images, and the new store's lazily built row
+            // view, equal the reference's eagerly patched row image
+            // exactly, row order included.
             let (a, b) = (new.snapshot(), reference.snapshot());
-            prop_assert_eq!(a.induced(), b.induced());
-            let (ca, cb) = (
-                a.sql_columnar(&SqlTarget::Induced).unwrap(),
-                b.sql_columnar(&SqlTarget::Induced).unwrap(),
-            );
-            for (name, table) in b.induced().tables() {
+            let (ca, cb) = (a.induced_columnar(), b.induced_columnar());
+            prop_assert_eq!(ca.tables().count(), rows.tables().count());
+            for (name, table) in rows.tables() {
                 prop_assert_eq!(&ca.table(name).unwrap().to_table(), table);
                 prop_assert_eq!(&cb.table(name).unwrap().to_table(), table);
             }
+            prop_assert!(new.generation() == 0 || !a.row_view_built(), "a commit built rows");
+            prop_assert_eq!(a.induced(), &rows);
             prop_assert_eq!(new.node_directory(), reference.node_directory());
             prop_assert_eq!(new.edge_directory(), reference.edge_directory());
             prop_assert_eq!(new.stats(), reference.stats());

@@ -258,7 +258,6 @@ impl GraphStore {
             cold.schema_arc(),
             cold.graph_arc(),
             cold.ctx_arc(),
-            induced,
             columnar,
             extra_maps,
             extra_columnar,

@@ -33,7 +33,7 @@
 //! via `PROPTEST_CASES` (honored below).
 
 use graphiti_common::{Ident, Value};
-use graphiti_engine::{BatchQuery, SqlTarget};
+use graphiti_engine::{BatchQuery, Snapshot};
 use graphiti_graph::{GraphInstance, GraphSchema};
 use graphiti_store::{
     CommitInfo, Delta, DurabilityOptions, EdgeKey, FaultKind, FaultVfs, GraphStore, NodeKey,
@@ -101,17 +101,26 @@ fn copy_dir(src: &Path, dst: &Path) {
     }
 }
 
-/// Both-layouts table equality plus query equivalence against the oracle.
+/// Columnar-image equality (row order included) with the oracle, a cold
+/// freeze of the live graph (bag-equal) and the live table logs (row for
+/// row), plus query equivalence against the oracle.
 fn assert_store_equals_oracle(live: &GraphStore, oracle: &GraphStore, context: &str) {
     assert_eq!(live.generation(), oracle.generation(), "generation ({context})");
     let (a, b) = (live.snapshot(), oracle.snapshot());
-    let col_a = a.sql_columnar(&SqlTarget::Induced).unwrap();
-    for (name, ta) in a.induced().tables() {
-        let tb = b.induced().table(name).unwrap_or_else(|| panic!("missing `{name}` ({context})"));
-        assert_eq!(ta, tb, "row image of `{name}` ({context})");
-        assert_eq!(col_a.table(name).unwrap().to_table(), *tb, "columnar `{name}` ({context})");
+    let (col_a, col_b) = (a.induced_columnar(), b.induced_columnar());
+    let cold = Snapshot::freeze(a.schema().clone(), a.graph().clone())
+        .unwrap_or_else(|e| panic!("live graph is schema-invalid ({context}): {e}"));
+    let logs = live.table_logs();
+    for (name, ta) in col_a.tables() {
+        let ta = ta.to_table();
+        let tb = col_b.table(name).unwrap_or_else(|| panic!("missing `{name}` ({context})"));
+        assert_eq!(ta, tb.to_table(), "columnar `{name}` ({context})");
+        let cold_table = cold.induced().table(name).unwrap();
+        assert!(ta.rows_bag_equal(cold_table), "`{name}` vs cold freeze ({context})");
+        assert_eq!(Some(&ta), logs.table(name), "`{name}` vs its log ({context})");
     }
-    assert_eq!(a.induced().tables().count(), b.induced().tables().count(), "table count");
+    assert_eq!(col_a.tables().count(), col_b.tables().count(), "table count");
+    assert_eq!(col_a.tables().count(), cold.induced().tables().count(), "cold table count");
     for q in fixtures::emp::QUERIES.iter().take(3) {
         let (lo, oo) = (
             live.engine().execute(&BatchQuery::cypher(*q)),

@@ -14,10 +14,10 @@
 //!   each solo `commit` is a group of one on the store's single commit
 //!   path) in generation order accepts every one of them, at the same
 //!   generation;
-//! * the two stores publish bag-equal induced tables, in both layouts
-//!   (the columnar image must equal the row image on each store), and
-//!   each store's images are bag-equal to a cold `Snapshot::freeze` of
-//!   its own graph — an image reference independent of the commit path;
+//! * the two stores publish bag-equal induced columnar images, and each
+//!   store's image is bag-equal to a cold `Snapshot::freeze` of its own
+//!   graph — an image reference independent of the commit path — and
+//!   equal row for row to its own table logs;
 //! * the transpilation soundness oracle holds on both stores' live
 //!   query surfaces;
 //! * every failed member failed `Rejected` — individually, without
@@ -29,7 +29,7 @@
 //! runs a modest case count; raise it via `PROPTEST_CASES`.
 
 use graphiti_common::{Ident, Value};
-use graphiti_engine::{Snapshot, SqlTarget};
+use graphiti_engine::Snapshot;
 use graphiti_graph::GraphSchema;
 use graphiti_store::{Delta, GraphStore, GroupOptions, QuerySurface, StoreError};
 use graphiti_testkit::{differential_oracle_on, fixtures};
@@ -154,39 +154,41 @@ proptest! {
             prop_assert_eq!(info.generation, *gen);
         }
 
-        // Both stores publish the same induced image, in both layouts.
+        // Both stores publish the same induced image.
         let snap = store.snapshot();
         let serial_snap = serial.snapshot();
-        for (name, serial_table) in serial_snap.induced().tables() {
-            let live = snap.induced().table(name).unwrap_or_else(|| panic!("missing `{name}`"));
+        let columnar_of = |s: &Snapshot, name: &str| {
+            let table = s.induced_columnar().table(name);
+            table.unwrap_or_else(|| panic!("missing columnar `{name}`")).to_table()
+        };
+        for (name, _) in serial_snap.induced_columnar().tables() {
+            let (live, serial_table) = (columnar_of(&snap, name), columnar_of(&serial_snap, name));
             prop_assert_eq!(&live.columns, &serial_table.columns);
             prop_assert!(
-                live.rows_bag_equal(serial_table),
+                live.rows_bag_equal(&serial_table),
                 "`{}` diverges:\ngroup-committed:\n{}\nserial:\n{}",
                 name, live, serial_table
             );
         }
-        for (which, s) in [("group", &snap), ("serial", &serial_snap)] {
+        // Each store's columnar image matches a cold freeze of its master
+        // graph (bag-equal) and its own table logs (row for row).
+        for (which, s, logs) in
+            [("group", &snap, store.table_logs()), ("serial", &serial_snap, serial.table_logs())]
+        {
             let cold = Snapshot::freeze(s.schema().clone(), s.graph().clone())
                 .expect("the committed graph stays schema-valid");
+            prop_assert_eq!(s.induced_columnar().tables().count(), cold.induced().tables().count());
             for (name, cold_table) in cold.induced().tables() {
-                let live = s.induced().table(name).unwrap_or_else(|| panic!("missing `{name}`"));
+                let live = columnar_of(s, name);
                 prop_assert_eq!(&live.columns, &cold_table.columns);
                 prop_assert!(
                     live.rows_bag_equal(cold_table),
                     "{} store: `{}` diverges from a cold freeze:\nincremental:\n{}\ncold:\n{}",
                     which, name, live, cold_table
                 );
-            }
-            let columnar = s.sql_columnar(&SqlTarget::Induced).unwrap();
-            for (name, row_table) in s.induced().tables() {
-                let col_image = columnar
-                    .table(name)
-                    .unwrap_or_else(|| panic!("missing columnar `{name}`"))
-                    .to_table();
                 prop_assert_eq!(
-                    &col_image, row_table,
-                    "{} store: columnar image of `{}` diverges from rows", which, name
+                    Some(&live), logs.table(name),
+                    "{} store: columnar image of `{}` diverges from its log", which, name
                 );
             }
         }
