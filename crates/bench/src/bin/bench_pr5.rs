@@ -22,7 +22,7 @@
 //!   never blocked, so in practice it stays far higher);
 //! * **incremental ≡ cold differential** — after scripted mutation
 //!   batches on a corpus prefix, every published columnar table must be
-//!   bag-equal to a cold freeze of the same master graph and equal the
+//!   bag-equal to a cold freeze of the same published graph and equal the
 //!   store's table log row for row, and the benchmark's Cypher query must
 //!   evaluate equivalently through the store's engine and a cold engine
 //!   (`store_differential_agree`, gated);
@@ -337,7 +337,7 @@ fn main() {
         }
         let snap = store.snapshot();
         let cold = Snapshot::freeze(snap.schema().clone(), snap.graph().clone())
-            .expect("master stays valid");
+            .expect("published graph stays valid");
         let logs = store.table_logs();
         for (name, cold_table) in cold.induced().tables() {
             diff_checked += 1;

@@ -1,11 +1,12 @@
-//! Phase 2 of a commit: applying a validated delta to the master graph
-//! and the per-label table logs, extracting per-table change sets.
+//! Phase 2 of a commit: applying a validated delta to the checked-out
+//! graph buffer, the stable-key maps and the per-label table logs,
+//! extracting per-table change sets.
 
 use crate::publish::ResolvedOp;
 use crate::table::StoreTable;
 use crate::{Delta, EdgeKey, EdgeRef, Mutation, NodeKey, NodeRef, StoreState};
 use graphiti_common::{Error, Ident, Result, Value};
-use graphiti_graph::{EdgeId, NodeId};
+use graphiti_graph::{EdgeId, GraphInstance, NodeId};
 use graphiti_relational::TableDelta;
 use std::collections::{BTreeMap, HashSet};
 
@@ -47,9 +48,14 @@ fn touch<'p>(
     pending.get_mut(name).expect("just inserted")
 }
 
-/// Phase 2: applies a validated delta to the master graph and table logs,
-/// recording per-table change sets in pre-commit published coordinates.
-pub(crate) fn apply_delta(st: &mut StoreState, delta: &Delta) -> Result<Applied> {
+/// Phase 2: applies a validated delta to `graph` (the buffer checked out
+/// for the next generation) and the table logs, recording per-table
+/// change sets in pre-commit published coordinates.
+pub(crate) fn apply_delta(
+    st: &mut StoreState,
+    graph: &mut GraphInstance,
+    delta: &Delta,
+) -> Result<Applied> {
     let mut pending: BTreeMap<String, Pending> = BTreeMap::new();
     let mut new_node_keys: Vec<NodeKey> = Vec::with_capacity(delta.nodes_added);
     let mut new_edge_keys: Vec<EdgeKey> = Vec::with_capacity(delta.edges_added);
@@ -59,8 +65,7 @@ pub(crate) fn apply_delta(st: &mut StoreState, delta: &Delta) -> Result<Applied>
             Mutation::AddNode { label, props } => {
                 let key = NodeKey(st.next_key);
                 st.next_key += 1;
-                let id = st
-                    .graph
+                let id = graph
                     .add_node(label.clone(), props.iter().map(|(k, v)| (k.clone(), v.clone())));
                 st.node_keys.push(key);
                 st.node_ids.insert(key, id);
@@ -70,7 +75,7 @@ pub(crate) fn apply_delta(st: &mut StoreState, delta: &Delta) -> Result<Applied>
                     .node_type(label.as_str())
                     .ok_or_else(|| Error::instance(format!("label `{label}` is undeclared")))?;
                 let row: Vec<Value> =
-                    ty.keys.iter().map(|k| st.graph.node(id).prop(k.as_str())).collect();
+                    ty.keys.iter().map(|k| graph.node(id).prop(k.as_str())).collect();
                 append_row(st, &mut pending, label.as_str(), row)?;
                 replay.push(ResolvedOp::AddNode { label: label.clone(), props: props.clone() });
             }
@@ -79,7 +84,7 @@ pub(crate) fn apply_delta(st: &mut StoreState, delta: &Delta) -> Result<Applied>
                 st.next_key += 1;
                 let src_id = resolve_applied_node(st, &new_node_keys, src)?;
                 let tgt_id = resolve_applied_node(st, &new_node_keys, tgt)?;
-                let id = st.graph.add_edge(
+                let id = graph.add_edge(
                     label.clone(),
                     src_id,
                     tgt_id,
@@ -103,9 +108,9 @@ pub(crate) fn apply_delta(st: &mut StoreState, delta: &Delta) -> Result<Applied>
                     .default_key_of(ty.tgt.as_str())
                     .ok_or_else(|| Error::instance(format!("label `{}` is undeclared", ty.tgt)))?;
                 let mut row: Vec<Value> =
-                    ty.keys.iter().map(|k| st.graph.edge(id).prop(k.as_str())).collect();
-                row.push(st.graph.node(src_id).prop(src_dk.as_str()));
-                row.push(st.graph.node(tgt_id).prop(tgt_dk.as_str()));
+                    ty.keys.iter().map(|k| graph.edge(id).prop(k.as_str())).collect();
+                row.push(graph.node(src_id).prop(src_dk.as_str()));
+                row.push(graph.node(tgt_id).prop(tgt_dk.as_str()));
                 append_row(st, &mut pending, label.as_str(), row)?;
                 replay.push(ResolvedOp::AddEdge {
                     label: label.clone(),
@@ -123,13 +128,13 @@ pub(crate) fn apply_delta(st: &mut StoreState, delta: &Delta) -> Result<Applied>
                     .edge_ids
                     .get(&key)
                     .ok_or_else(|| Error::instance(format!("lost edge {key}")))?;
-                let label = st.graph.try_edge(id)?.label.clone();
+                let label = graph.try_edge(id)?.label.clone();
                 let dk = st
                     .schema
                     .default_key_of(label.as_str())
                     .ok_or_else(|| Error::instance(format!("label `{label}` is undeclared")))?;
-                let pk = st.graph.try_edge(id)?.prop(dk.as_str());
-                st.graph.remove_edge(id)?;
+                let pk = graph.try_edge(id)?.prop(dk.as_str());
+                graph.remove_edge(id)?;
                 // Mirror the arena's swap-remove in the key maps.
                 let removed_key = st.edge_keys.swap_remove(id.0);
                 debug_assert_eq!(removed_key, key);
@@ -149,13 +154,13 @@ pub(crate) fn apply_delta(st: &mut StoreState, delta: &Delta) -> Result<Applied>
                     .node_ids
                     .get(&key)
                     .ok_or_else(|| Error::instance(format!("lost node {key}")))?;
-                let label = st.graph.try_node(id)?.label.clone();
+                let label = graph.try_node(id)?.label.clone();
                 let dk = st
                     .schema
                     .default_key_of(label.as_str())
                     .ok_or_else(|| Error::instance(format!("label `{label}` is undeclared")))?;
-                let pk = st.graph.try_node(id)?.prop(dk.as_str());
-                st.graph.remove_node(id)?;
+                let pk = graph.try_node(id)?.prop(dk.as_str());
+                graph.remove_node(id)?;
                 let removed_key = st.node_keys.swap_remove(id.0);
                 debug_assert_eq!(removed_key, key);
                 st.node_ids.remove(&key);
@@ -174,7 +179,7 @@ pub(crate) fn apply_delta(st: &mut StoreState, delta: &Delta) -> Result<Applied>
                     .node_ids
                     .get(&nkey)
                     .ok_or_else(|| Error::instance(format!("lost node {nkey}")))?;
-                let label = st.graph.try_node(id)?.label.clone();
+                let label = graph.try_node(id)?.label.clone();
                 let ty = st
                     .schema
                     .node_type(label.as_str())
@@ -184,18 +189,17 @@ pub(crate) fn apply_delta(st: &mut StoreState, delta: &Delta) -> Result<Applied>
                     .iter()
                     .position(|k| k == key)
                     .ok_or_else(|| Error::instance(format!("undeclared key `{key}`")))?;
-                let pk_before = st.graph.try_node(id)?.prop(ty.default_key().as_str());
-                st.graph.set_node_prop(id, key.clone(), value.clone())?;
+                let pk_before = graph.try_node(id)?.prop(ty.default_key().as_str());
+                graph.set_node_prop(id, key.clone(), value.clone())?;
                 replay.push(ResolvedOp::SetNodeProp(id, key.clone(), value.clone()));
                 patch_row(st, &mut pending, label.as_str(), &pk_before, col, value.clone())?;
                 if col == 0 && pk_before != *value {
                     // The node's default key is the join value every
                     // incident edge row carries in SRC/TGT: patch them too.
-                    let touched: Vec<(Ident, EdgeId, bool)> = st
-                        .graph
+                    let touched: Vec<(Ident, EdgeId, bool)> = graph
                         .out_edges(id)
                         .map(|e| (e.label.clone(), e.id, true))
-                        .chain(st.graph.in_edges(id).map(|e| (e.label.clone(), e.id, false)))
+                        .chain(graph.in_edges(id).map(|e| (e.label.clone(), e.id, false)))
                         .collect();
                     let mut incident: Vec<(Ident, Value, bool)> = Vec::with_capacity(touched.len());
                     for (elabel, eid, is_src) in touched {
@@ -204,7 +208,7 @@ pub(crate) fn apply_delta(st: &mut StoreState, delta: &Delta) -> Result<Applied>
                         })?;
                         incident.push((
                             elabel.clone(),
-                            st.graph.try_edge(eid)?.prop(edk.as_str()),
+                            graph.try_edge(eid)?.prop(edk.as_str()),
                             is_src,
                         ));
                     }
@@ -226,7 +230,7 @@ pub(crate) fn apply_delta(st: &mut StoreState, delta: &Delta) -> Result<Applied>
                     .edge_ids
                     .get(&ekey)
                     .ok_or_else(|| Error::instance(format!("lost edge {ekey}")))?;
-                let label = st.graph.try_edge(id)?.label.clone();
+                let label = graph.try_edge(id)?.label.clone();
                 let ty = st
                     .schema
                     .edge_type(label.as_str())
@@ -236,8 +240,8 @@ pub(crate) fn apply_delta(st: &mut StoreState, delta: &Delta) -> Result<Applied>
                     .iter()
                     .position(|k| k == key)
                     .ok_or_else(|| Error::instance(format!("undeclared key `{key}`")))?;
-                let pk_before = st.graph.try_edge(id)?.prop(ty.default_key().as_str());
-                st.graph.set_edge_prop(id, key.clone(), value.clone())?;
+                let pk_before = graph.try_edge(id)?.prop(ty.default_key().as_str());
+                graph.set_edge_prop(id, key.clone(), value.clone())?;
                 replay.push(ResolvedOp::SetEdgeProp(id, key.clone(), value.clone()));
                 patch_row(st, &mut pending, label.as_str(), &pk_before, col, value.clone())?;
             }

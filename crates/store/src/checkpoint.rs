@@ -3,7 +3,7 @@
 //!
 //! A checkpoint captures everything [`GraphStore`](crate::GraphStore)
 //! needs to resume at a generation without replaying the log from the
-//! beginning: the counters, the master graph **in arena order** with its
+//! beginning: the counters, the published graph **in arena order** with its
 //! stable keys, and every per-label row log *including tombstones and
 //! slot order* — the published image of a table is "live rows in log
 //! order", so storing the raw log (not just the live rows) lets recovery
@@ -24,7 +24,7 @@ use graphiti_common::{Error, Result, Value};
 use graphiti_relational::Row;
 use std::path::{Path, PathBuf};
 
-/// One node of the master graph, in arena order.
+/// One node of the published graph, in arena order.
 #[derive(Debug)]
 pub(crate) struct CkptNode {
     pub(crate) key: u64,
@@ -32,7 +32,7 @@ pub(crate) struct CkptNode {
     pub(crate) props: Vec<(String, Value)>,
 }
 
-/// One edge of the master graph, in arena order.  Endpoints are arena
+/// One edge of the published graph, in arena order.  Endpoints are arena
 /// indexes (valid because nodes are restored in arena order).
 #[derive(Debug)]
 pub(crate) struct CkptEdge {

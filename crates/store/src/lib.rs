@@ -14,9 +14,10 @@
 //!    their schema obligations (declared labels and keys, default-key
 //!    presence/uniqueness via a maintained primary-key index, endpoint
 //!    types, no dangling edges), never the whole graph;
-//! 2. **applies the delta** to the master graph (stable
-//!    [`NodeKey`]/[`EdgeKey`] handles survive the arena's swap-remove
-//!    renumbering) and to the per-label
+//! 2. **applies the delta** to the next generation's graph buffer (the
+//!    retiring one replayed forward, else a clone of the published graph;
+//!    stable [`NodeKey`]/[`EdgeKey`] handles survive the arena's
+//!    swap-remove renumbering) and to the per-label
 //!    [append + tombstone + compaction logs](`crate::table`);
 //! 3. **publishes a new generation** by patching the *previous*
 //!    generation's columnar image with
@@ -113,7 +114,7 @@ pub use session::{CommitAck, EmbeddedSession, Graphiti, GraphitiBuilder, Service
 pub use vfs::{std_vfs, FaultKind, FaultVfs, OpClass, StdVfs, Vfs, VfsFile};
 
 use crate::apply::apply_delta;
-use crate::publish::{publish_graph, ResolvedOp};
+use crate::publish::{checkout_graph, publish_graph, ResolvedOp};
 use crate::recovery::write_checkpoint_locked;
 use crate::table::StoreTable;
 use crate::validate::Staging;
@@ -278,19 +279,20 @@ pub struct StoreStats {
     pub rejected_commits: u64,
     /// Table-log compactions performed.
     pub compactions: u64,
-    /// Live nodes in the master graph.
+    /// Live nodes in the published graph.
     pub live_nodes: usize,
-    /// Live edges in the master graph.
+    /// Live edges in the published graph.
     pub live_edges: usize,
     /// Total log slots across all induced tables (live + tombstoned).
     pub logged_rows: usize,
     /// Tombstoned log slots awaiting compaction.
     pub tombstoned_rows: usize,
-    /// Commits that published the graph by cloning the master (a reader
-    /// still held every reclaimable buffer).
+    /// Publishing commits whose graph buffer was a clone of the
+    /// published graph (a reader still pinned the retiring buffer, or
+    /// the store had just opened).
     pub graph_clones: u64,
-    /// Commits that published the graph by replaying the delta backlog
-    /// onto a reclaimed buffer (O(delta), no full copy).
+    /// Publishing commits whose graph buffer was the reclaimed retiring
+    /// buffer, replayed forward by one op list (O(delta), no full copy).
     pub graph_reclaims: u64,
     /// WAL records appended by this process (always 0 for an in-memory
     /// store).
@@ -372,13 +374,13 @@ impl IdempotencyTable {
     }
 }
 
-/// The writer-side state: master graph, stable-key maps, per-table logs.
+/// The writer-side state: stable-key maps and per-table logs beside the
+/// published generation, whose graph is the committed one.
 #[derive(Debug)]
 struct StoreState {
     schema: GraphSchema,
-    graph: GraphInstance,
-    /// Arena-parallel stable keys (`node_keys[i]` is the key of `NodeId(i)`),
-    /// maintained through swap-removes.
+    /// Arena-parallel stable keys (`node_keys[i]` is the key of `NodeId(i)`
+    /// in the published graph), maintained through swap-removes.
     node_keys: Vec<NodeKey>,
     edge_keys: Vec<EdgeKey>,
     node_ids: HashMap<NodeKey, NodeId>,
@@ -389,17 +391,15 @@ struct StoreState {
     /// generation from **this** lineage, never from whatever the engine
     /// currently serves — `Engine::swap_snapshot` is public, so a caller
     /// could have swapped in a foreign snapshot, and patching that would
-    /// silently desynchronize the published images from the master state.
+    /// silently desynchronize the published images from the key maps and
+    /// table logs.
     published_snapshot: Arc<Snapshot>,
-    /// The graph handle published with the current generation (shared
-    /// with the engine's snapshot and any readers).
-    published_graph: Arc<GraphInstance>,
     /// The previous generation's graph handle, kept so the next commit
     /// can reclaim its buffer once every reader has released it.
     retiring_graph: Option<Arc<GraphInstance>>,
-    /// Resolved (id-level) operation logs of the most recent publications,
-    /// enough to replay a reclaimed buffer forward to the master state.
-    backlog: VecDeque<Vec<ResolvedOp>>,
+    /// The resolved (id-level) operations that take the retiring buffer
+    /// to the published graph.
+    lag: Vec<ResolvedOp>,
     generation: u64,
     /// Counters are registry-backed [`Counter`] handles: the store
     /// increments them exactly where the plain `u64`s used to live, and
@@ -419,6 +419,13 @@ struct StoreState {
     /// Commit-idempotency dedup table (token → generation).
     idempotency: IdempotencyTable,
     idempotent_replays: Counter,
+}
+
+impl StoreState {
+    /// The committed graph: the published generation's.
+    fn graph(&self) -> &GraphInstance {
+        self.published_snapshot.graph()
+    }
 }
 
 /// Registers the writer-side counters in `registry` under the shared
@@ -450,9 +457,9 @@ impl StoreCounters {
     }
 }
 
-/// A writable graph database: one master graph, one embedded batch
-/// [`Engine`], and a totally ordered sequence of published snapshot
-/// generations.  See the crate docs for the commit pipeline.
+/// A writable graph database: one embedded batch [`Engine`] and a
+/// totally ordered sequence of published snapshot generations, each with
+/// its own immutable graph.  See the crate docs for the commit pipeline.
 #[derive(Debug)]
 pub struct GraphStore {
     engine: Engine,
@@ -507,7 +514,7 @@ impl GraphStore {
     ) -> Result<GraphStore> {
         let snapshot = Snapshot::freeze_with(schema.clone(), graph, extra)?;
         let ctx = snapshot.ctx().clone();
-        let graph = snapshot.graph().clone();
+        let graph = snapshot.graph();
         let node_keys: Vec<NodeKey> = (0..graph.node_count()).map(|i| NodeKey(i as u64)).collect();
         let edge_keys: Vec<EdgeKey> =
             (0..graph.edge_count()).map(|i| EdgeKey((graph.node_count() + i) as u64)).collect();
@@ -528,7 +535,6 @@ impl GraphStore {
             tables.insert(name.to_string(), StoreTable::from_table(image));
         }
         let next_key = (graph.node_count() + graph.edge_count()) as u64;
-        let published_graph = snapshot.graph_arc();
         let published_snapshot = Arc::clone(&snapshot);
         let obs = Arc::new(Obs::new());
         let c = StoreCounters::register(obs.registry());
@@ -538,7 +544,6 @@ impl GraphStore {
             engine: make_engine(snapshot, cache_capacity, Arc::clone(&obs)),
             state: Mutex::new(StoreState {
                 schema,
-                graph,
                 published_snapshot,
                 node_keys,
                 edge_keys,
@@ -546,9 +551,8 @@ impl GraphStore {
                 edge_ids,
                 next_key,
                 tables,
-                published_graph,
                 retiring_graph: None,
-                backlog: VecDeque::new(),
+                lag: Vec::new(),
                 generation: 0,
                 commits: c.commits,
                 rejected: c.rejected,
@@ -645,8 +649,8 @@ impl GraphStore {
             commits: st.commits.get(),
             rejected_commits: st.rejected.get(),
             compactions: st.compactions.get(),
-            live_nodes: st.graph.node_count(),
-            live_edges: st.graph.edge_count(),
+            live_nodes: st.graph().node_count(),
+            live_edges: st.graph().edge_count(),
             logged_rows: st.tables.values().map(StoreTable::log_len).sum(),
             tombstoned_rows: st.tables.values().map(StoreTable::dead_count).sum(),
             graph_clones: st.graph_clones.get(),
@@ -680,10 +684,10 @@ impl GraphStore {
         let st = self.state.lock().unwrap_or_else(|p| p.into_inner());
         let dk = st.schema.default_key_of(label)?.clone();
         let key = st
-            .graph
+            .graph()
             .nodes_with_label(label)
             .find(|n| n.prop(dk.as_str()) == *pk)
-            .map(|n| st.node_keys[n.id.0]);
+            .and_then(|n| st.node_keys.get(n.id.0).copied());
         key
     }
 
@@ -693,17 +697,17 @@ impl GraphStore {
         let st = self.state.lock().unwrap_or_else(|p| p.into_inner());
         let dk = st.schema.default_key_of(label)?.clone();
         let key = st
-            .graph
+            .graph()
             .edges_with_label(label)
             .find(|e| e.prop(dk.as_str()) == *pk)
-            .map(|e| st.edge_keys[e.id.0]);
+            .and_then(|e| st.edge_keys.get(e.id.0).copied());
         key
     }
 
     /// Every live node as `(key, label, default-key value)`.
     pub fn node_directory(&self) -> Vec<(NodeKey, Ident, Value)> {
         let st = self.state.lock().unwrap_or_else(|p| p.into_inner());
-        st.graph
+        st.graph()
             .nodes()
             .iter()
             .filter_map(|n| {
@@ -711,7 +715,7 @@ impl GraphStore {
                 // freeze or commit), and both require a declared label.
                 let dk = st.schema.default_key_of(n.label.as_str());
                 debug_assert!(dk.is_some(), "undeclared label in published graph");
-                dk.map(|dk| (st.node_keys[n.id.0], n.label.clone(), n.prop(dk.as_str())))
+                Some((*st.node_keys.get(n.id.0)?, n.label.clone(), n.prop(dk?.as_str())))
             })
             .collect()
     }
@@ -719,7 +723,7 @@ impl GraphStore {
     /// Every live edge as `(key, label, default-key value, src key, tgt key)`.
     pub fn edge_directory(&self) -> Vec<(EdgeKey, Ident, Value, NodeKey, NodeKey)> {
         let st = self.state.lock().unwrap_or_else(|p| p.into_inner());
-        st.graph
+        st.graph()
             .edges()
             .iter()
             .filter_map(|e| {
@@ -727,15 +731,13 @@ impl GraphStore {
                 // requires a declared label.
                 let dk = st.schema.default_key_of(e.label.as_str());
                 debug_assert!(dk.is_some(), "undeclared label in published graph");
-                dk.map(|dk| {
-                    (
-                        st.edge_keys[e.id.0],
-                        e.label.clone(),
-                        e.prop(dk.as_str()),
-                        st.node_keys[e.src.0],
-                        st.node_keys[e.tgt.0],
-                    )
-                })
+                Some((
+                    *st.edge_keys.get(e.id.0)?,
+                    e.label.clone(),
+                    e.prop(dk?.as_str()),
+                    *st.node_keys.get(e.src.0)?,
+                    *st.node_keys.get(e.tgt.0)?,
+                ))
             })
             .collect()
     }
@@ -772,14 +774,14 @@ impl GraphStore {
     /// generation on success.
     ///
     /// Validation is **incremental and sequential**: each operation is
-    /// checked against the master state plus the effects of the delta's
-    /// earlier operations — touched elements and their schema obligations
-    /// only, never a whole-graph revalidation.  A delta that fails any
-    /// check is rejected wholesale: the master state, the published
-    /// generation, and all reader snapshots are untouched.
+    /// checked against the committed state plus the effects of the
+    /// delta's earlier operations — touched elements and their schema
+    /// obligations only, never a whole-graph revalidation.  A delta that
+    /// fails any check is rejected wholesale: the committed state, the
+    /// published generation, and all reader snapshots are untouched.
     ///
-    /// On success, the commit patches the previous generation's row and
-    /// columnar induced images with per-label
+    /// On success, the commit patches the previous generation's columnar
+    /// induced image with per-label
     /// [`TableDelta`](graphiti_relational::TableDelta)s (cold
     /// re-materialization never runs), swaps the new generation into the
     /// engine, and returns the assigned stable keys.
@@ -824,7 +826,7 @@ impl GraphStore {
     ///
     /// Each member keeps its *individual* transactional identity:
     ///
-    /// - members validate **in order**, each against the master state
+    /// - members validate **in order**, each against the committed state
     ///   plus the staged effects of the accepted members before it (a
     ///   later member can address an earlier member's additions by the
     ///   keys they will receive), so a group is equivalent to committing
@@ -1020,10 +1022,15 @@ impl GraphStore {
         // row is copied until the single image derivation below), then
         // derive the images and publish once.  Validation staged exactly
         // these effects, so an error here is an internal invariant
-        // violation with the master state part-mutated: reopen-only.
+        // violation with the key maps and table logs part-mutated (the
+        // checked-out graph is never published): reopen-only.
         let prev = Arc::clone(&st.published_snapshot);
         let mut applied_members = 0u64;
         let published: std::result::Result<Arc<Snapshot>, String> = 'publish: {
+            if !members.iter().any(|m| matches!(m, Member::Accepted { .. })) {
+                break 'publish Ok(prev);
+            }
+            let mut graph = checkout_graph(st);
             // Per touched table: the pre-group row count and the group's
             // folded delta.
             let mut folded: BTreeMap<String, (usize, TableDelta)> = BTreeMap::new();
@@ -1031,7 +1038,7 @@ impl GraphStore {
             for (member, (delta, ..)) in members.iter_mut().zip(&deltas) {
                 let Member::Accepted { generation, keys } = member else { continue };
                 let first_key = st.next_key;
-                let applied = match apply_delta(st, delta) {
+                let applied = match apply_delta(st, &mut graph, delta) {
                     Ok(a) => a,
                     Err(e) => {
                         break 'publish Err(format!("commit apply phase failed mid-mutation: {e}"))
@@ -1065,9 +1072,6 @@ impl GraphStore {
                     touched,
                 };
             }
-            if applied_members == 0 {
-                break 'publish Ok(prev);
-            }
             let publish_span =
                 (group_trace != 0).then(|| tracer.span(group_trace, 0, "store.publish"));
             let mut columnar = prev.induced_columnar().clone();
@@ -1088,7 +1092,7 @@ impl GraphStore {
                 columnar.insert_table(name.clone(), image);
             }
             let (extra, extra_columnar) = prev.extra_parts();
-            let graph = publish_graph(st, group_replay);
+            let graph = publish_graph(st, graph, group_replay);
             let snapshot = Snapshot::from_parts_with_columnar(
                 prev.schema_arc(),
                 graph,
@@ -1327,12 +1331,12 @@ mod tests {
     }
 
     /// The published columnar image must match a cold re-freeze of the
-    /// master graph (equal columns, bag-equal rows) and the table logs
+    /// published graph (equal columns, bag-equal rows) and the table logs
     /// (row for row, in log order).
     fn assert_matches_cold_freeze(store: &GraphStore) {
         let snap = store.snapshot();
         let cold = Snapshot::freeze(snap.schema().clone(), snap.graph().clone())
-            .expect("master graph must stay schema-valid");
+            .expect("published graph must stay schema-valid");
         let logs = store.table_logs();
         let columnar = snap.induced_columnar();
         assert_eq!(columnar.tables().count(), cold.induced().tables().count(), "table count");
@@ -1568,7 +1572,7 @@ mod tests {
 
     #[test]
     fn a_default_key_can_cycle_through_several_elements_in_one_delta() {
-        // remove/add/remove/add on one key: the "master's copy is freed"
+        // remove/add/remove/add on one key: the "committed copy is freed"
         // fact must survive intermediate staged claims.
         let store = GraphStore::open(emp_schema(), emp_graph()).unwrap();
         let ada = store.node_key("EMP", &Value::Int(1)).unwrap();
@@ -1601,7 +1605,7 @@ mod tests {
     fn commits_derive_from_the_store_lineage_not_the_engine_slot() {
         // A caller can reach the raw engine and swap in a foreign
         // snapshot; the store's next commit must still derive from its
-        // own published lineage and stay consistent with the master.
+        // own published lineage and stay consistent with the key maps.
         let store = GraphStore::open(emp_schema(), emp_graph()).unwrap();
         let foreign_schema = GraphSchema::new().with_node(NodeType::new("EMP", ["id", "name"]));
         let mut foreign_graph = GraphInstance::new();
@@ -2364,6 +2368,30 @@ vs\n{tb}"
         assert_matches_cold_freeze(&store);
     }
 
+    #[test]
+    fn read_apis_survive_part_applied_key_maps_after_an_apply_fence() {
+        // An apply-phase error fences with the key maps part-mutated while
+        // the published graph is untouched: simulate that state (stable
+        // keys missing for published arena slots) under the lock.
+        let dir = scratch("apply-fence-reads");
+        let store = open_durable(&dir, durable_opts(true, 0)).unwrap();
+        {
+            let mut st = store.state.lock().unwrap();
+            st.node_keys.truncate(1);
+            st.edge_keys.clear();
+            engage_fence(&mut st, "simulated apply failure".into(), false);
+        }
+        assert_eq!(store.node_key("EMP", &Value::Int(2)), None);
+        assert_eq!(store.edge_key("WORK_AT", &Value::Int(10)), None);
+        assert_eq!(store.node_directory().len(), 1);
+        assert!(store.edge_directory().is_empty());
+        assert_eq!(store.stats().live_nodes, 4, "the published graph is untouched");
+        assert!(matches!(store.checkpoint_now(), Err(StoreError::Fenced { .. })));
+        assert!(matches!(store.commit(Delta::new()), Err(StoreError::Fenced { .. })));
+        drop(store);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
     // ----------------------------------------------------- idempotency
 
     #[test]
@@ -2632,7 +2660,8 @@ vs\n{tb}"
                 }
             }
         }
-        let applied = match apply_delta(&mut st, &delta) {
+        let mut graph = checkout_graph(&mut st);
+        let applied = match apply_delta(&mut st, &mut graph, &delta) {
             Ok(a) => a,
             Err(e) => {
                 let msg = format!("commit apply phase failed mid-mutation: {e}");
@@ -2667,7 +2696,7 @@ vs\n{tb}"
             }
         }
         let (extra, extra_columnar) = prev.extra_parts();
-        let graph = publish_graph(&mut st, applied.replay);
+        let graph = publish_graph(&mut st, graph, applied.replay);
         let snapshot = Snapshot::from_parts_with_columnar(
             prev.schema_arc(),
             graph,

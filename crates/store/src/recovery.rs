@@ -11,7 +11,7 @@ use graphiti_engine::Snapshot;
 use graphiti_graph::{EdgeId, GraphInstance, GraphSchema, NodeId};
 use graphiti_obs::Obs;
 use graphiti_relational::{ColumnInstance, RelInstance};
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap};
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 
@@ -165,7 +165,7 @@ impl GraphStore {
         Ok(store)
     }
 
-    /// Rebuilds writer-side state from a checkpoint image: the master
+    /// Rebuilds writer-side state from a checkpoint image: the published
     /// graph in arena order, stable keys, and the per-label row logs
     /// (slot-exact, tombstones included).  The recovered graph is
     /// re-validated by a cold freeze, and the checkpointed logs are
@@ -202,7 +202,6 @@ impl GraphStore {
         // schema and rebuilds the SDT context (the independent oracle the
         // checkpointed logs are checked against below).
         let cold = Snapshot::freeze_with(schema.clone(), graph, extra)?;
-        let graph = cold.graph().clone();
         let node_keys: Vec<NodeKey> = image.nodes.iter().map(|n| NodeKey(n.key)).collect();
         let edge_keys: Vec<EdgeKey> = image.edges.iter().map(|e| EdgeKey(e.key)).collect();
         let max_key = node_keys
@@ -262,7 +261,6 @@ impl GraphStore {
             extra_maps,
             extra_columnar,
         );
-        let published_graph = cold.graph_arc();
         let obs = Arc::new(Obs::new());
         let c = StoreCounters::register(obs.registry());
         // Restore the checkpointed lifetime counters into the registry
@@ -276,7 +274,6 @@ impl GraphStore {
             engine: make_engine(Arc::clone(&published), cache_capacity, Arc::clone(&obs)),
             state: Mutex::new(StoreState {
                 schema,
-                graph,
                 node_keys,
                 edge_keys,
                 node_ids,
@@ -284,9 +281,8 @@ impl GraphStore {
                 next_key: image.next_key,
                 tables,
                 published_snapshot: published,
-                published_graph,
                 retiring_graph: None,
-                backlog: VecDeque::new(),
+                lag: Vec::new(),
                 generation: image.generation,
                 commits: c.commits,
                 rejected: c.rejected,
@@ -326,12 +322,12 @@ impl GraphStore {
 }
 
 /// Serializes the writer-side state into a checkpoint image: counters,
-/// the master graph in arena order with its stable keys, and every row
+/// the published graph in arena order with its stable keys, and every row
 /// log slot-exactly (tombstones included, so published log order
 /// survives recovery).
 fn build_checkpoint_image(st: &StoreState) -> checkpoint::CheckpointImage {
     let nodes = st
-        .graph
+        .graph()
         .nodes()
         .iter()
         .map(|n| checkpoint::CkptNode {
@@ -341,7 +337,7 @@ fn build_checkpoint_image(st: &StoreState) -> checkpoint::CheckpointImage {
         })
         .collect();
     let edges = st
-        .graph
+        .graph()
         .edges()
         .iter()
         .map(|e| checkpoint::CkptEdge {

@@ -43,9 +43,9 @@ pub struct ServiceStats {
     pub commits: u64,
     /// Deltas rejected by validation.
     pub rejected_commits: u64,
-    /// Live nodes in the master graph.
+    /// Live nodes in the published graph.
     pub live_nodes: u64,
-    /// Live edges in the master graph.
+    /// Live edges in the published graph.
     pub live_edges: u64,
     /// Whether the store is fenced (read-only degraded mode).
     pub fenced: bool,

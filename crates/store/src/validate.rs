@@ -1,5 +1,6 @@
 //! Phase 1 of a commit: incremental, sequential validation of a commit
-//! group's members against the master state.  Pure — the store state is
+//! group's members against the committed state (the published graph,
+//! stable-key maps and table logs).  Pure — the store state is
 //! never mutated; effects accumulate in a caller-owned [`Staging`].
 
 use crate::{Delta, EdgeKey, EdgeRef, Mutation, NodeKey, NodeRef, StoreState};
@@ -38,7 +39,7 @@ struct StagedEdge {
     alive: bool,
 }
 
-/// The staged effects of a commit group on top of the master state: every
+/// The staged effects of a commit group on top of the committed state: every
 /// accepted member so far, plus the current member's earlier operations.
 /// It grows only with the group's own operations, so a caller snapshots
 /// it (`clone`) before a member and restores the snapshot when that
@@ -65,7 +66,7 @@ pub(crate) struct Staging {
     edge_keys: HashMap<EdgeKey, usize>,
 }
 
-/// Validation of one member: the master store, the group's staging, and
+/// Validation of one member: the committed store, the group's staging, and
 /// where this member's own additions start in it.
 struct Check<'a> {
     st: &'a StoreState,
@@ -109,7 +110,7 @@ impl Check<'_> {
 
     fn node_label(&self, ep: Endpoint) -> &Ident {
         match ep {
-            Endpoint::Existing(k) => &self.st.graph.nodes()[self.st.node_ids[&k].0].label,
+            Endpoint::Existing(k) => &self.st.graph().nodes()[self.st.node_ids[&k].0].label,
             Endpoint::New(i) => &self.s.new_nodes[i].label,
         }
     }
@@ -120,7 +121,7 @@ impl Check<'_> {
                 if let Some(v) = self.s.node_overrides.get(&(k, key.clone())) {
                     return v.clone();
                 }
-                self.st.graph.nodes()[self.st.node_ids[&k].0].prop(key.as_str())
+                self.st.graph().nodes()[self.st.node_ids[&k].0].prop(key.as_str())
             }
             Endpoint::New(i) => self.s.new_nodes[i].props.get(key).cloned().unwrap_or(Value::Null),
         }
@@ -151,7 +152,7 @@ impl Check<'_> {
 
     fn edge_label(&self, slot: EdgeSlot) -> &Ident {
         match slot {
-            EdgeSlot::Existing(k) => &self.st.graph.edges()[self.st.edge_ids[&k].0].label,
+            EdgeSlot::Existing(k) => &self.st.graph().edges()[self.st.edge_ids[&k].0].label,
             EdgeSlot::New(i) => &self.s.new_edges[i].label,
         }
     }
@@ -162,26 +163,26 @@ impl Check<'_> {
                 if let Some(v) = self.s.edge_overrides.get(&(k, key.clone())) {
                     return v.clone();
                 }
-                self.st.graph.edges()[self.st.edge_ids[&k].0].prop(key.as_str())
+                self.st.graph().edges()[self.st.edge_ids[&k].0].prop(key.as_str())
             }
             EdgeSlot::New(i) => self.s.new_edges[i].props.get(key).cloned().unwrap_or(Value::Null),
         }
     }
 
     /// Claims a default-key value for a label, enforcing uniqueness
-    /// against the master index and everything staged before it.
+    /// against the committed index and everything staged before it.
     ///
-    /// A value is held iff (the master index holds it AND no earlier
-    /// operation freed the master's copy) OR an earlier operation staged a
-    /// claim on it.  `freed` deliberately keeps recording "the master's
+    /// A value is held iff (the committed index holds it AND no earlier
+    /// operation freed the committed copy) OR an earlier operation staged
+    /// a claim on it.  `freed` deliberately keeps recording "the committed
     /// copy is gone" even while a staged claim cycles the value — a
     /// remove/add/remove/add chain on one key must stay valid.
     fn claim(&mut self, label: &Ident, value: &Value) -> Result<()> {
         let kv = (label.clone(), value.clone());
-        let held_by_master =
+        let held_by_committed =
             self.st.tables.get(label.as_str()).is_some_and(|t| t.contains_pk(value))
                 && !self.s.freed.contains(&kv);
-        if held_by_master || self.s.claimed.contains(&kv) {
+        if held_by_committed || self.s.claimed.contains(&kv) {
             return Err(Error::instance(format!(
                 "duplicate default-key value {value} for label `{label}`"
             )));
@@ -191,7 +192,7 @@ impl Check<'_> {
     }
 
     /// Releases a default-key value (element removed or re-keyed): a
-    /// staged claim is cancelled, a master-held value is marked freed.
+    /// staged claim is cancelled, a committed value is marked freed.
     fn free(&mut self, label: &Ident, value: &Value) {
         let kv = (label.clone(), value.clone());
         if !self.s.claimed.remove(&kv) {
@@ -223,12 +224,12 @@ fn check_props(
 }
 
 impl Staging {
-    /// An empty staging over the master state: nothing staged yet.
+    /// An empty staging over the committed state: nothing staged yet.
     pub(crate) fn new(st: &StoreState) -> Staging {
         Staging { next_key: st.next_key, ..Staging::default() }
     }
 
-    /// Validates the next member of a group against the master state plus
+    /// Validates the next member of a group against the committed state plus
     /// everything staged so far, operation by operation, and stages its
     /// effects.  Returns the stable keys `apply_delta` will assign to the
     /// member's additions.  On error the staging is left part-updated:
@@ -314,9 +315,9 @@ fn validate_member(c: &mut Check<'_>, delta: &Delta) -> Result<()> {
                     Endpoint::Existing(k) => {
                         let id = st.node_ids[&k];
                         let incident = st
-                            .graph
+                            .graph()
                             .out_edges(id)
-                            .chain(st.graph.in_edges(id))
+                            .chain(st.graph().in_edges(id))
                             .any(|e| !c.s.removed_edges.contains(&st.edge_keys[e.id.0]));
                         if incident {
                             return Err(Error::instance(format!(

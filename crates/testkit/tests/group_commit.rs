@@ -170,7 +170,7 @@ proptest! {
                 name, live, serial_table
             );
         }
-        // Each store's columnar image matches a cold freeze of its master
+        // Each store's columnar image matches a cold freeze of its published
         // graph (bag-equal) and its own table logs (row for row).
         for (which, s, logs) in
             [("group", &snap, store.table_logs()), ("serial", &serial_snap, serial.table_logs())]

@@ -5,7 +5,7 @@
 //! after any schema-valid mutation sequence, the snapshot generation the
 //! store published incrementally (per-label row deltas patched onto the
 //! previous generation's images) must match what a from-scratch
-//! [`Snapshot::freeze`] of the same master graph would produce —
+//! [`Snapshot::freeze`] of the same published graph would produce —
 //!
 //! * per induced table, the published columnar image: identical columns
 //!   and **bag-equal** rows against the cold freeze (the cold path
@@ -40,7 +40,7 @@ use std::collections::HashSet;
 fn assert_commit_equals_cold_freeze(store: &GraphStore, queries: &[&str]) {
     let snap = store.snapshot();
     let cold = Snapshot::freeze(snap.schema().clone(), snap.graph().clone())
-        .expect("the master graph must stay schema-valid");
+        .expect("the published graph must stay schema-valid");
     // The columnar image: equal columns and bag-equal rows against the
     // cold freeze, and row for row against the table logs.
     let columnar = snap.induced_columnar();
@@ -340,6 +340,80 @@ proptest! {
             stats.tombstoned_rows < 32 || stats.compactions > 0,
             "a teardown this size must either compact or stay under the threshold"
         );
+    }
+}
+
+/// Commits one random group (a solo delta, an empty delta, or up to three
+/// deltas drawn against the same state, so later ones may be rejected)
+/// to both stores, returning whether it published a generation.
+fn commit_to_both(
+    rng: &mut StdRng,
+    a: &GraphStore,
+    b: &GraphStore,
+    schema: &GraphSchema,
+    next_pk: &mut i64,
+) -> bool {
+    let deltas: Vec<Delta> = match rng.gen_range(0..10u32) {
+        0 => vec![Delta::new()],
+        1..=6 => vec![random_delta(rng, b, schema, next_pk)],
+        _ => {
+            (0..rng.gen_range(2..=3usize)).map(|_| random_delta(rng, b, schema, next_pk)).collect()
+        }
+    };
+    let before = a.generation();
+    let outcome =
+        |results: Vec<_>| results.into_iter().map(|r: Result<_, _>| r.is_ok()).collect::<Vec<_>>();
+    let got_a = outcome(a.commit_group(deltas.clone()));
+    let got_b = outcome(b.commit_group(deltas));
+    assert_eq!(got_a, got_b, "the stores disagree on a group's outcome");
+    assert_eq!(a.generation(), b.generation());
+    a.generation() > before
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Both ways of checking out a commit's graph buffer — reclaiming the
+    /// retiring buffer and replaying it forward, or cloning the published
+    /// graph — build the same generations.  Store A pins random
+    /// generations for random spans (forcing clones while a pin holds the
+    /// retiring buffer); store B pins none, so only its first publishing
+    /// commit clones.
+    #[test]
+    fn reclaim_and_clone_checkouts_agree_under_random_pins(
+        graph in arb_instance(&fixtures::emp::schema(), 4, 6),
+        seed in any::<u64>(),
+    ) {
+        let schema = fixtures::emp::schema();
+        let a = GraphStore::open(schema.clone(), graph.clone()).expect("valid instance");
+        let b = GraphStore::open(schema.clone(), graph).expect("valid instance");
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut next_pk = 4_000_000i64;
+        // (pinned generation, its graph as cloned when pinned, release step)
+        let mut pins: Vec<(std::sync::Arc<Snapshot>, graphiti_graph::GraphInstance, usize)> =
+            Vec::new();
+        let mut published = 0u64;
+        for step in 0..rng.gen_range(8..=16usize) {
+            pins.retain(|(.., release)| *release > step);
+            if rng.gen_bool(0.4) {
+                let snap = a.snapshot();
+                let copy = snap.graph().clone();
+                pins.push((snap, copy, step + rng.gen_range(1..=4usize)));
+            }
+            if commit_to_both(&mut rng, &a, &b, &schema, &mut next_pk) {
+                published += 1;
+            }
+            prop_assert!(*a.snapshot().graph() == *b.snapshot().graph(), "published graphs differ");
+            prop_assert_eq!(a.node_directory(), b.node_directory());
+            prop_assert_eq!(a.edge_directory(), b.edge_directory());
+            for (snap, copy, _) in &pins {
+                prop_assert!(snap.graph() == copy, "a pinned generation changed");
+            }
+            let (sa, sb) = (a.stats(), b.stats());
+            prop_assert_eq!(sa.graph_clones + sa.graph_reclaims, published);
+            prop_assert_eq!(sb.graph_clones + sb.graph_reclaims, published);
+            prop_assert_eq!(sb.graph_clones, published.min(1), "an unpinned buffer was cloned");
+        }
     }
 }
 
