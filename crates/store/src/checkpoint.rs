@@ -11,17 +11,29 @@
 //! served, and keeps the commit path's patched-image-equals-log
 //! invariant intact across a restart.
 //!
-//! The file is one length-prefixed, CRC-checksummed blob (same framing
-//! as a WAL record) written atomically: serialize to `*.tmp`, fsync,
-//! rename into place.  Recovery loads the newest checkpoint that passes
-//! its checksum and falls back to older ones (or to an empty store) if
-//! the newest is unreadable.
+//! The file is one length-prefixed, CRC-checksummed frame (the WAL's
+//! framing, [`seal_frame`]) written atomically: serialize to `*.tmp`,
+//! fsync, rename into place.  Recovery loads the newest checkpoint that
+//! passes its checksum and falls back to older ones (or to an empty
+//! store) if the newest is unreadable.
+//!
+//! [`encode_frame`] streams the frame straight from the live store state
+//! into one buffer, sized from the previous checkpoint, with the frame
+//! header reserved at its front: no intermediate copy of the graph or
+//! the row logs is built.  [`CheckpointImage`] is the decoded form
+//! recovery rebuilds the store from.  The test-only
+//! `build_checkpoint_image` and `encode` are the earlier clone-then-encode
+//! path, kept as the byte-for-byte reference of the format.
 
 use crate::error::{StoreError, StoreResult};
 use crate::vfs::Vfs;
-use crate::wal::{crc32, put_str, put_u32, put_u64, put_value, Cursor};
-use graphiti_common::{Error, Result, Value};
+use crate::wal::{
+    crc32, frame_buffer, put_str, put_u32, put_u64, put_value, seal_frame, Cursor, FrameTooLarge,
+};
+use crate::StoreState;
+use graphiti_common::{Error, Ident, Result, Value};
 use graphiti_relational::Row;
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
 /// One node of the published graph, in arena order.
@@ -71,6 +83,124 @@ pub(crate) struct CheckpointImage {
     pub(crate) tokens: Vec<(u128, u64)>,
 }
 
+fn put_props(buf: &mut Vec<u8>, props: &BTreeMap<Ident, Value>) {
+    put_u32(buf, props.len() as u32);
+    for (k, v) in props {
+        put_str(buf, k.as_str());
+        put_value(buf, v);
+    }
+}
+
+/// Encodes the writer-side state as one sealed checkpoint frame:
+/// counters, the published graph in arena order with its stable keys,
+/// every row log slot-exactly (tombstones included, so published log
+/// order survives recovery), and the idempotency entries.  Reads the
+/// live structures in place; `capacity_hint` is the expected payload
+/// size (the previous checkpoint's), so the buffer rarely regrows.
+pub(crate) fn encode_frame(
+    st: &StoreState,
+    capacity_hint: usize,
+) -> std::result::Result<Vec<u8>, FrameTooLarge> {
+    // Headroom for the commits since the previous checkpoint: one
+    // regrowth would copy the whole payload and double its footprint.
+    let mut buf = frame_buffer(capacity_hint + capacity_hint / 8 + 4096);
+    put_u64(&mut buf, st.generation);
+    put_u64(&mut buf, st.commits.get());
+    put_u64(&mut buf, st.rejected.get());
+    put_u64(&mut buf, st.compactions.get());
+    put_u64(&mut buf, st.next_key);
+    let graph = st.graph();
+    put_u32(&mut buf, graph.nodes().len() as u32);
+    for n in graph.nodes() {
+        put_u64(&mut buf, st.node_keys[n.id.0].0);
+        put_str(&mut buf, n.label.as_str());
+        put_props(&mut buf, &n.props);
+    }
+    put_u32(&mut buf, graph.edges().len() as u32);
+    for e in graph.edges() {
+        put_u64(&mut buf, st.edge_keys[e.id.0].0);
+        put_str(&mut buf, e.label.as_str());
+        put_u64(&mut buf, e.src.0 as u64);
+        put_u64(&mut buf, e.tgt.0 as u64);
+        put_props(&mut buf, &e.props);
+    }
+    put_u32(&mut buf, st.tables.len() as u32);
+    for (name, t) in &st.tables {
+        put_str(&mut buf, name);
+        put_u32(&mut buf, t.columns().len() as u32);
+        for c in t.columns() {
+            put_str(&mut buf, c);
+        }
+        put_u32(&mut buf, t.log_len() as u32);
+        for (dead, row) in t.log_slots() {
+            buf.push(dead as u8);
+            debug_assert_eq!(row.len(), t.columns().len(), "checkpoint row arity");
+            for v in row {
+                put_value(&mut buf, v);
+            }
+        }
+    }
+    let tokens = st.idempotency.entries();
+    put_u32(&mut buf, tokens.len() as u32);
+    for (token, generation) in tokens {
+        put_u64(&mut buf, (token >> 64) as u64);
+        put_u64(&mut buf, token as u64);
+        put_u64(&mut buf, generation);
+    }
+    seal_frame(&mut buf)?;
+    Ok(buf)
+}
+
+/// The retired clone-then-encode path's first half: the whole state
+/// copied into a [`CheckpointImage`].  With [`encode`], the reference
+/// [`encode_frame`] must match byte for byte.
+#[cfg(test)]
+pub(crate) fn build_checkpoint_image(st: &StoreState) -> CheckpointImage {
+    let nodes = st
+        .graph()
+        .nodes()
+        .iter()
+        .map(|n| CkptNode {
+            key: st.node_keys[n.id.0].0,
+            label: n.label.as_str().to_owned(),
+            props: n.props.iter().map(|(k, v)| (k.as_str().to_owned(), v.clone())).collect(),
+        })
+        .collect();
+    let edges = st
+        .graph()
+        .edges()
+        .iter()
+        .map(|e| CkptEdge {
+            key: st.edge_keys[e.id.0].0,
+            label: e.label.as_str().to_owned(),
+            src: e.src.0 as u64,
+            tgt: e.tgt.0 as u64,
+            props: e.props.iter().map(|(k, v)| (k.as_str().to_owned(), v.clone())).collect(),
+        })
+        .collect();
+    let tables = st
+        .tables
+        .iter()
+        .map(|(name, t)| CkptTable {
+            name: name.clone(),
+            columns: t.columns().to_vec(),
+            slots: t.log_slots().map(|(dead, row)| (dead, row.clone())).collect(),
+        })
+        .collect();
+    CheckpointImage {
+        generation: st.generation,
+        commits: st.commits.get(),
+        rejected: st.rejected.get(),
+        compactions: st.compactions.get(),
+        next_key: st.next_key,
+        nodes,
+        edges,
+        tables,
+        tokens: st.idempotency.entries().collect(),
+    }
+}
+
+#[cfg(test)]
 fn put_string_props(buf: &mut Vec<u8>, props: &[(String, Value)]) {
     put_u32(buf, props.len() as u32);
     for (k, v) in props {
@@ -79,7 +209,10 @@ fn put_string_props(buf: &mut Vec<u8>, props: &[(String, Value)]) {
     }
 }
 
-fn encode(image: &CheckpointImage) -> Vec<u8> {
+/// The retired clone-then-encode path's second half: a checkpoint
+/// payload from its image.
+#[cfg(test)]
+pub(crate) fn encode(image: &CheckpointImage) -> Vec<u8> {
     let mut buf = Vec::with_capacity(4096);
     put_u64(&mut buf, image.generation);
     put_u64(&mut buf, image.commits);
@@ -241,21 +374,22 @@ pub(crate) fn sweep_tmp(vfs: &dyn Vfs, dir: &Path) {
     }
 }
 
-/// Writes a checkpoint atomically: `*.tmp` + fsync + rename.  Sweeps
-/// stray tmp files from earlier failed attempts first, so a crashed or
-/// faulted checkpoint is cleaned up by the next one.
-pub(crate) fn write(vfs: &dyn Vfs, dir: &Path, image: &CheckpointImage) -> StoreResult<PathBuf> {
+/// Writes a sealed checkpoint frame (see [`encode_frame`]) for
+/// `generation` atomically: `*.tmp` + fsync + rename.  Sweeps stray tmp
+/// files from earlier failed attempts first, so a crashed or faulted
+/// checkpoint is cleaned up by the next one.
+pub(crate) fn write(
+    vfs: &dyn Vfs,
+    dir: &Path,
+    generation: u64,
+    frame: &[u8],
+) -> StoreResult<PathBuf> {
     sweep_tmp(vfs, dir);
-    let payload = encode(image);
-    let mut frame = Vec::with_capacity(payload.len() + 8);
-    put_u32(&mut frame, payload.len() as u32);
-    put_u32(&mut frame, crc32(&payload));
-    frame.extend_from_slice(&payload);
-    let final_path = checkpoint_path(dir, image.generation);
+    let final_path = checkpoint_path(dir, generation);
     let tmp_path = final_path.with_extension("tmp");
     let mut file =
         vfs.create(&tmp_path).map_err(|e| StoreError::io("checkpoint: creating", &tmp_path, e))?;
-    file.write_at(0, &frame)
+    file.write_at(0, frame)
         .and_then(|()| file.sync_all())
         .map_err(|e| StoreError::io("checkpoint: writing", &tmp_path, e))?;
     drop(file);
@@ -303,6 +437,15 @@ mod tests {
         dir
     }
 
+    /// Writes an image through the reference encoder and the shared
+    /// frame builder.
+    fn write_image(vfs: &dyn Vfs, dir: &Path, image: &CheckpointImage) -> StoreResult<PathBuf> {
+        let mut frame = frame_buffer(0);
+        frame.extend_from_slice(&encode(image));
+        seal_frame(&mut frame).unwrap();
+        write(vfs, dir, image.generation, &frame)
+    }
+
     fn sample_image(generation: u64) -> CheckpointImage {
         CheckpointImage {
             generation,
@@ -338,7 +481,7 @@ mod tests {
     fn write_load_round_trip() {
         let dir = scratch_dir("roundtrip");
         let vfs = StdVfs;
-        let path = write(&vfs, &dir, &sample_image(12)).unwrap();
+        let path = write_image(&vfs, &dir, &sample_image(12)).unwrap();
         let image = load(&vfs, &path).unwrap();
         assert_eq!(image.generation, 12);
         assert_eq!(image.commits, 9);
@@ -357,7 +500,7 @@ mod tests {
     fn a_flipped_byte_fails_the_checksum() {
         let dir = scratch_dir("flip");
         let vfs = StdVfs;
-        let path = write(&vfs, &dir, &sample_image(3)).unwrap();
+        let path = write_image(&vfs, &dir, &sample_image(3)).unwrap();
         let mut bytes = std::fs::read(&path).unwrap();
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0x01;
@@ -372,7 +515,7 @@ mod tests {
     fn a_truncated_checkpoint_is_rejected() {
         let dir = scratch_dir("trunc");
         let vfs = StdVfs;
-        let path = write(&vfs, &dir, &sample_image(5)).unwrap();
+        let path = write_image(&vfs, &dir, &sample_image(5)).unwrap();
         let bytes = std::fs::read(&path).unwrap();
         std::fs::write(&path, &bytes[..bytes.len() - 3]).unwrap();
         assert!(load(&vfs, &path).unwrap_err().is_corrupt());
@@ -385,7 +528,7 @@ mod tests {
         let vfs = StdVfs;
         std::fs::write(dir.join("ckpt-00000000000000000003.tmp"), b"junk").unwrap();
         std::fs::write(dir.join("unrelated.tmp.txt"), b"keep").unwrap();
-        write(&vfs, &dir, &sample_image(4)).unwrap();
+        write_image(&vfs, &dir, &sample_image(4)).unwrap();
         let names = vfs.list_dir(&dir).unwrap();
         assert!(!names.iter().any(|n| n.ends_with(".tmp")), "stray tmp removed: {names:?}");
         assert!(names.contains(&"unrelated.tmp.txt".to_string()));

@@ -12,8 +12,9 @@ use graphiti_graph::{EdgeId, GraphInstance, GraphSchema, NodeId};
 use graphiti_obs::Obs;
 use graphiti_relational::{ColumnInstance, RelInstance};
 use std::collections::{BTreeMap, HashMap};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
+use std::time::Instant;
 
 impl GraphStore {
     /// The durable open/recover path behind [`StoreBuilder::durable`](crate::StoreBuilder::durable).
@@ -311,62 +312,26 @@ impl GraphStore {
         options: DurabilityOptions,
     ) -> StoreResult<()> {
         let mut st = self.state.lock().unwrap_or_else(|p| p.into_inner());
-        let image = build_checkpoint_image(&st);
-        checkpoint::write(&*fs, &dir, &image)?;
+        let started = Instant::now();
+        let frame = checkpoint::encode_frame(&st, 0).map_err(|e| checkpoint_too_large(&dir, e))?;
+        checkpoint::write(&*fs, &dir, st.generation, &frame)?;
         let wal = wal::WalWriter::create(&*fs, wal::segment_path(&dir, st.generation))?;
-        let d = DurableState::new(dir, fs, options, wal, st.generation, self.obs.registry());
+        let mut d = DurableState::new(dir, fs, options, wal, st.generation, self.obs.registry());
+        d.last_checkpoint_bytes = frame.len();
         d.checkpoints_written.inc();
+        d.checkpoint_write_micros.record(started.elapsed().as_micros() as u64);
         st.durable = Some(d);
         Ok(())
     }
 }
 
-/// Serializes the writer-side state into a checkpoint image: counters,
-/// the published graph in arena order with its stable keys, and every row
-/// log slot-exactly (tombstones included, so published log order
-/// survives recovery).
-fn build_checkpoint_image(st: &StoreState) -> checkpoint::CheckpointImage {
-    let nodes = st
-        .graph()
-        .nodes()
-        .iter()
-        .map(|n| checkpoint::CkptNode {
-            key: st.node_keys[n.id.0].0,
-            label: n.label.as_str().to_owned(),
-            props: n.props.iter().map(|(k, v)| (k.as_str().to_owned(), v.clone())).collect(),
-        })
-        .collect();
-    let edges = st
-        .graph()
-        .edges()
-        .iter()
-        .map(|e| checkpoint::CkptEdge {
-            key: st.edge_keys[e.id.0].0,
-            label: e.label.as_str().to_owned(),
-            src: e.src.0 as u64,
-            tgt: e.tgt.0 as u64,
-            props: e.props.iter().map(|(k, v)| (k.as_str().to_owned(), v.clone())).collect(),
-        })
-        .collect();
-    let tables = st
-        .tables
-        .iter()
-        .map(|(name, t)| checkpoint::CkptTable {
-            name: name.clone(),
-            columns: t.columns().to_vec(),
-            slots: t.log_slots().map(|(dead, row)| (dead, row.clone())).collect(),
-        })
-        .collect();
-    checkpoint::CheckpointImage {
-        generation: st.generation,
-        commits: st.commits.get(),
-        rejected: st.rejected.get(),
-        compactions: st.compactions.get(),
-        next_key: st.next_key,
-        nodes,
-        edges,
-        tables,
-        tokens: st.idempotency.entries(),
+/// A checkpoint too large for its frame's length prefix.  Nothing is
+/// written, so nothing is vacuumed: the WAL keeps covering every commit.
+fn checkpoint_too_large(dir: &Path, e: wal::FrameTooLarge) -> StoreError {
+    StoreError::Io {
+        op: "checkpoint: framing".into(),
+        path: Some(dir.to_path_buf()),
+        message: e.to_string(),
     }
 }
 
@@ -375,9 +340,9 @@ fn build_checkpoint_image(st: &StoreState) -> checkpoint::CheckpointImage {
 /// the retention count.  Caller must hold the state lock and have
 /// `st.durable` set.
 pub(crate) fn write_checkpoint_locked(st: &mut StoreState) -> StoreResult<()> {
-    let image = build_checkpoint_image(st);
-    let generation = image.generation;
-    let Some(d) = st.durable.as_mut() else {
+    let started = Instant::now();
+    let generation = st.generation;
+    let Some(capacity_hint) = st.durable.as_ref().map(|d| d.last_checkpoint_bytes) else {
         // Callers verify `st.durable` before calling; reaching here is a
         // logic bug, reported instead of panicking.
         debug_assert!(false, "write_checkpoint_locked needs a durable store");
@@ -385,12 +350,16 @@ pub(crate) fn write_checkpoint_locked(st: &mut StoreState) -> StoreResult<()> {
             "write_checkpoint_locked called without a durability layer".into(),
         ));
     };
+    let frame = checkpoint::encode_frame(st, capacity_hint);
+    let d = st.durable.as_mut().expect("durability layer checked above");
+    let frame = frame.map_err(|e| checkpoint_too_large(&d.dir, e))?;
     // The checkpoint file is a complete, fsynced image of everything it
     // covers, so it supersedes the log: no separate WAL sync is needed
     // before vacuuming covered segments.  (This also keeps the
     // unretriable-fsync problem out of the checkpoint path, which is
     // what lets `checkpoint_now` recover a fenced store.)
-    checkpoint::write(&*d.vfs, &d.dir, &image)?;
+    checkpoint::write(&*d.vfs, &d.dir, generation, &frame)?;
+    d.last_checkpoint_bytes = frame.len();
     d.wal = wal::WalWriter::create(&*d.vfs, wal::segment_path(&d.dir, generation))?;
     d.last_checkpoint = generation;
     d.checkpoints_written.inc();
@@ -406,5 +375,6 @@ pub(crate) fn write_checkpoint_locked(st: &mut StoreState) -> StoreResult<()> {
             let _ = d.vfs.remove_file(path);
         }
     }
+    d.checkpoint_write_micros.record(started.elapsed().as_micros() as u64);
     Ok(())
 }

@@ -41,18 +41,119 @@ use std::path::{Path, PathBuf};
 
 // ----------------------------------------------------------------- CRC-32
 
-/// Hand-rolled CRC-32 (IEEE 802.3 polynomial, reflected), bitwise.
-/// Records are small (one delta), so a lookup table buys nothing here.
+/// The reflected IEEE 802.3 CRC-32 polynomial.
+const CRC_POLY: u32 = 0xEDB8_8320;
+
+/// Slicing-by-8 tables (Kounavis & Berry, ISCC 2005): `CRC_TABLES[0][b]`
+/// is the CRC of byte `b`, and `CRC_TABLES[k][b]` the CRC of `b`
+/// followed by `k` zero bytes, so one step folds eight input bytes.
+static CRC_TABLES: [[u32; 256]; 8] = crc_tables();
+
+const fn crc_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
+    let mut b = 0;
+    while b < 256 {
+        let mut crc = b as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = (crc >> 1) ^ (CRC_POLY & (crc & 1).wrapping_neg());
+            bit += 1;
+        }
+        tables[0][b] = crc;
+        b += 1;
+    }
+    let mut k = 1;
+    while k < 8 {
+        let mut b = 0;
+        while b < 256 {
+            let prev = tables[k - 1][b];
+            tables[k][b] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            b += 1;
+        }
+        k += 1;
+    }
+    tables
+}
+
+/// Hand-rolled CRC-32 (IEEE 802.3 polynomial, reflected), table-driven
+/// slicing-by-8: checkpoints checksum tens of megabytes in one call.
 pub(crate) fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
+    let mut crc = 0xFFFF_FFFFu32;
+    let mut chunks = bytes.chunks_exact(8);
+    for c in &mut chunks {
+        let lo = crc ^ u32::from_le_bytes([c[0], c[1], c[2], c[3]]);
+        let hi = u32::from_le_bytes([c[4], c[5], c[6], c[7]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in chunks.remainder() {
+        crc = (crc >> 8) ^ t[0][((crc ^ b as u32) & 0xFF) as usize];
+    }
+    !crc
+}
+
+/// The retired bitwise CRC-32, kept as the reference the table-driven
+/// one is tested against.
+#[cfg(test)]
+pub(crate) fn crc32_bitwise(bytes: &[u8]) -> u32 {
     let mut crc = 0xFFFF_FFFFu32;
     for &b in bytes {
         crc ^= b as u32;
         for _ in 0..8 {
             let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
+            crc = (crc >> 1) ^ (CRC_POLY & mask);
         }
     }
     !crc
+}
+
+// ----------------------------------------------------------------- framing
+
+/// Bytes of a frame header: `len: u32 LE`, then `crc: u32 LE`.
+const FRAME_HEADER: usize = 8;
+
+/// A payload too long for a frame's `u32` length prefix.  Writing it
+/// anyway would wrap the prefix and leave a frame no reader accepts.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct FrameTooLarge {
+    /// The payload's length in bytes.
+    pub(crate) len: usize,
+}
+
+impl std::fmt::Display for FrameTooLarge {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "payload of {} bytes exceeds the {}-byte frame limit", self.len, u32::MAX)
+    }
+}
+
+/// The length prefix of a frame whose payload is `len` bytes long.
+fn frame_len(len: usize) -> std::result::Result<u32, FrameTooLarge> {
+    u32::try_from(len).map_err(|_| FrameTooLarge { len })
+}
+
+/// An empty frame: the header is reserved, and the payload is appended
+/// after it, then [`seal_frame`] fills the header in place, so a frame is
+/// built in one buffer with no second copy.
+pub(crate) fn frame_buffer(payload_capacity: usize) -> Vec<u8> {
+    let mut frame = Vec::with_capacity(FRAME_HEADER + payload_capacity);
+    frame.resize(FRAME_HEADER, 0);
+    frame
+}
+
+/// Fills in the header [`frame_buffer`] reserved: the payload's length
+/// and CRC-32.  The one frame builder for WAL records and checkpoints.
+pub(crate) fn seal_frame(frame: &mut [u8]) -> std::result::Result<(), FrameTooLarge> {
+    let (header, payload) = frame.split_at_mut(FRAME_HEADER);
+    header[..4].copy_from_slice(&frame_len(payload.len())?.to_le_bytes());
+    header[4..].copy_from_slice(&crc32(payload).to_le_bytes());
+    Ok(())
 }
 
 // ---------------------------------------------------------------- encoding
@@ -176,24 +277,29 @@ pub(crate) fn put_delta(buf: &mut Vec<u8>, delta: &Delta) {
 /// between the flags byte and the delta.
 const FLAG_TOKEN: u8 = 1;
 
-/// Serializes one record payload: generation, a flags byte, the
-/// commit's idempotency token (when the client supplied one), then the
-/// delta's operations.  The token rides in the WAL so recovery can
-/// rebuild the store's dedup table and a retried commit stays
-/// exactly-once across a crash.
-fn encode_record(generation: u64, token: Option<u128>, delta: &Delta) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(64);
-    put_u64(&mut buf, generation);
+/// Serializes one record as a sealed frame.  Its payload is the
+/// generation, a flags byte, the commit's idempotency token (when the
+/// client supplied one), then the delta's operations.  The token rides
+/// in the WAL so recovery can rebuild the store's dedup table and a
+/// retried commit stays exactly-once across a crash.
+pub(crate) fn record_frame(
+    generation: u64,
+    token: Option<u128>,
+    delta: &Delta,
+) -> std::result::Result<Vec<u8>, FrameTooLarge> {
+    let mut frame = frame_buffer(64);
+    put_u64(&mut frame, generation);
     match token {
         Some(t) => {
-            buf.push(FLAG_TOKEN);
-            put_u64(&mut buf, (t >> 64) as u64);
-            put_u64(&mut buf, t as u64);
+            frame.push(FLAG_TOKEN);
+            put_u64(&mut frame, (t >> 64) as u64);
+            put_u64(&mut frame, t as u64);
         }
-        None => buf.push(0),
+        None => frame.push(0),
     }
-    put_delta(&mut buf, delta);
-    buf
+    put_delta(&mut frame, delta);
+    seal_frame(&mut frame)?;
+    Ok(frame)
 }
 
 // ---------------------------------------------------------------- decoding
@@ -464,24 +570,14 @@ impl WalWriter {
         Ok(WalWriter { file, path, len: valid_len })
     }
 
-    /// Appends and flushes one record (no fsync — that is the caller's
-    /// separate, *unretriable* step; see [`WalWriter::sync`]).  Returns
-    /// the record's size in bytes.  On failure the file is truncated
-    /// back to the previous record boundary; if even that truncation
-    /// fails, the returned [`AppendError`] says so and the caller must
-    /// fence rather than reuse the segment.
-    pub(crate) fn append(
-        &mut self,
-        generation: u64,
-        token: Option<u128>,
-        delta: &Delta,
-    ) -> std::result::Result<u64, AppendError> {
-        let payload = encode_record(generation, token, delta);
-        let mut frame = Vec::with_capacity(payload.len() + 8);
-        put_u32(&mut frame, payload.len() as u32);
-        put_u32(&mut frame, crc32(&payload));
-        frame.extend_from_slice(&payload);
-        let write = self.file.write_at(self.len, &frame).and_then(|()| self.file.flush());
+    /// Appends and flushes one [`record_frame`] (no fsync — that is the
+    /// caller's separate, *unretriable* step; see [`WalWriter::sync`]).
+    /// Returns the record's size in bytes.  On failure the file is
+    /// truncated back to the previous record boundary; if even that
+    /// truncation fails, the returned [`AppendError`] says so and the
+    /// caller must fence rather than reuse the segment.
+    pub(crate) fn append(&mut self, frame: &[u8]) -> std::result::Result<u64, AppendError> {
+        let write = self.file.write_at(self.len, frame).and_then(|()| self.file.flush());
         if let Err(e) = write {
             let rolled_back = self.file.set_len(self.len).is_ok();
             return Err(AppendError {
@@ -524,6 +620,8 @@ mod tests {
     use super::*;
     use crate::vfs::StdVfs;
     use graphiti_common::Value;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn scratch_dir(tag: &str) -> PathBuf {
         let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -531,6 +629,10 @@ mod tests {
             .join(format!("{tag}-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         dir
+    }
+
+    fn frame(generation: u64) -> Vec<u8> {
+        record_frame(generation, None, &sample_delta()).unwrap()
     }
 
     fn sample_delta() -> Delta {
@@ -559,13 +661,50 @@ mod tests {
         // Standard IEEE CRC-32 check value.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+        assert_eq!(crc32_bitwise(b"123456789"), 0xCBF4_3926);
+        assert_eq!(crc32_bitwise(b""), 0);
+    }
+
+    #[test]
+    fn table_driven_crc32_matches_the_bitwise_reference() {
+        let mut rng = StdRng::seed_from_u64(0x0C2C_3200);
+        let bytes: Vec<u8> = (0..10_000 + 8).map(|_| rng.gen_range(0..256u32) as u8).collect();
+        // Every length to 1 KiB, then on to 10k in steps of 7 (coprime
+        // with 8, so every remainder of the 8-byte main loop recurs),
+        // with the start cycling through the 8 alignments more slowly
+        // than the remainder: every (alignment, remainder) pair occurs.
+        let lengths = (0..=1024).chain((1025..=10_000).step_by(7));
+        for (i, len) in lengths.enumerate() {
+            let start = (i / 8) % 8;
+            let slice = &bytes[start..start + len];
+            assert_eq!(crc32(slice), crc32_bitwise(slice), "start {start}, len {len}");
+        }
+    }
+
+    #[test]
+    fn frames_refuse_payloads_past_the_u32_length_prefix() {
+        assert_eq!(frame_len(0), Ok(0));
+        assert_eq!(frame_len(u32::MAX as usize), Ok(u32::MAX));
+        #[cfg(target_pointer_width = "64")]
+        {
+            let len = u32::MAX as usize + 1;
+            assert_eq!(frame_len(len), Err(FrameTooLarge { len }));
+            assert_eq!(frame_len(usize::MAX), Err(FrameTooLarge { len: usize::MAX }));
+        }
+        // A sealed frame carries its payload's length and CRC-32.
+        let mut frame = frame_buffer(3);
+        frame.extend_from_slice(b"abc");
+        seal_frame(&mut frame).unwrap();
+        assert_eq!(frame[..4], 3u32.to_le_bytes());
+        assert_eq!(frame[4..8], crc32(b"abc").to_le_bytes());
+        assert_eq!(&frame[FRAME_HEADER..], b"abc");
     }
 
     #[test]
     fn record_round_trip() {
         let delta = sample_delta();
-        let payload = encode_record(42, None, &delta);
-        let rec = decode_record(&payload).unwrap();
+        let frame = record_frame(42, None, &delta).unwrap();
+        let rec = decode_record(&frame[FRAME_HEADER..]).unwrap();
         assert_eq!(rec.generation, 42);
         assert_eq!(rec.token, None);
         assert_eq!(rec.delta.ops().len(), delta.ops().len());
@@ -578,13 +717,13 @@ mod tests {
     fn tokened_record_round_trip() {
         let delta = sample_delta();
         let token = (7u128 << 64) | 0xDEAD_BEEF;
-        let payload = encode_record(9, Some(token), &delta);
-        let rec = decode_record(&payload).unwrap();
+        let frame = record_frame(9, Some(token), &delta).unwrap();
+        let rec = decode_record(&frame[FRAME_HEADER..]).unwrap();
         assert_eq!(rec.generation, 9);
         assert_eq!(rec.token, Some(token));
         assert_eq!(format!("{:?}", rec.delta.ops()), format!("{:?}", delta.ops()));
         // Unknown flag bits are refused, not silently skipped.
-        let mut bad = encode_record(9, None, &delta);
+        let mut bad = record_frame(9, None, &delta).unwrap().split_off(FRAME_HEADER);
         bad[8] |= 0x80;
         assert!(decode_record(&bad).is_err());
     }
@@ -595,8 +734,8 @@ mod tests {
         let vfs = StdVfs;
         let path = segment_path(&dir, 0);
         let mut w = WalWriter::create(&vfs, path.clone()).unwrap();
-        w.append(1, None, &sample_delta()).unwrap();
-        w.append(2, None, &sample_delta()).unwrap();
+        w.append(&frame(1)).unwrap();
+        w.append(&frame(2)).unwrap();
         w.sync().unwrap();
         let full = w.len();
         let scan = read_segment(&vfs, &path).unwrap();
@@ -630,7 +769,7 @@ mod tests {
         let vfs = StdVfs;
         let path = segment_path(&dir, 7);
         let mut w = WalWriter::create(&vfs, path.clone()).unwrap();
-        w.append(1, None, &sample_delta()).unwrap();
+        w.append(&frame(1)).unwrap();
         let mut bytes = std::fs::read(&path).unwrap();
         let last = bytes.len() - 1;
         bytes[last] ^= 0xFF;
@@ -661,13 +800,13 @@ mod tests {
         let vfs = crate::vfs::FaultVfs::default();
         let path = segment_path(&dir, 0);
         let mut w = WalWriter::create(&vfs, path.clone()).unwrap();
-        w.append(1, None, &sample_delta()).unwrap();
+        w.append(&frame(1)).unwrap();
         let one = w.len();
         // Short-write the next record, then let the rollback set_len
         // succeed: the scan must still see exactly one intact record.
         let at = vfs.ops() + 1;
         vfs.fail_nth_kind(at, crate::vfs::FaultKind::ShortWrite);
-        let err = w.append(2, None, &sample_delta()).unwrap_err();
+        let err = w.append(&frame(2)).unwrap_err();
         assert!(err.rolled_back, "one-shot fault lets the rollback succeed");
         assert!(err.error.is_io());
         assert_eq!(w.len(), one);
@@ -676,7 +815,7 @@ mod tests {
         assert!(!scan.torn, "the torn tail was rolled back");
         // A sticky fault makes the rollback itself fail.
         vfs.fail_from(vfs.ops() + 1);
-        let err = w.append(3, None, &sample_delta()).unwrap_err();
+        let err = w.append(&frame(3)).unwrap_err();
         assert!(!err.rolled_back, "sticky fault blocks the rollback too");
         vfs.clear();
         std::fs::remove_dir_all(&dir).ok();

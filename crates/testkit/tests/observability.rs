@@ -129,6 +129,11 @@ fn every_preexisting_counter_name_still_moves_through_the_registry() {
         "ServiceStats::queries is the registry histogram's count"
     );
     assert_eq!(service_stats.commits, stats.commits);
+    assert_eq!(
+        registry.histogram("graphiti_checkpoint_write_micros").count(),
+        stats.checkpoints,
+        "every checkpoint written, bootstrap included, is timed"
+    );
 
     // Plan-cache counters joined the registry too, and the repeated
     // query must have hit.
@@ -146,6 +151,7 @@ fn every_preexisting_counter_name_still_moves_through_the_registry() {
         "graphiti_commit_e2e_micros",
         "graphiti_wal_append_micros",
         "graphiti_wal_fsync_micros",
+        "graphiti_checkpoint_write_micros",
         "graphiti_group_commit_size",
         "graphiti_group_queue_wait_micros",
         "graphiti_query_micros",
